@@ -5,7 +5,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hotspot_core::model::CnnConfig;
-use hotspot_nn::{loss, Parallelism, Tensor};
+use hotspot_nn::engine::Executor;
+use hotspot_nn::{optim, Parallelism, Tensor};
 
 fn bench_forward(c: &mut Criterion) {
     let mut group = c.benchmark_group("cnn_forward");
@@ -17,10 +18,11 @@ fn bench_forward(c: &mut Criterion) {
             input_channels: k,
             ..CnnConfig::default()
         };
-        let mut net = cfg.build();
+        let net = cfg.build();
         let x = Tensor::from_vec(cfg.input_shape(), vec![0.3; k * 144]);
+        let mut ex = Executor::new();
         group.bench_with_input(BenchmarkId::new("k", k), &k, |bench, _| {
-            bench.iter(|| net.forward(std::hint::black_box(&x), false));
+            bench.iter(|| ex.infer(&net, std::hint::black_box(&x))[0]);
         });
     }
     group.finish();
@@ -33,17 +35,15 @@ fn bench_train_step(c: &mut Criterion) {
     };
     let mut net = cfg.build();
     let x = Tensor::from_vec(cfg.input_shape(), vec![0.3; 32 * 144]);
+    let mut ex = Executor::new();
     let mut group = c.benchmark_group("cnn_train");
     group.sample_size(15);
     group.measurement_time(std::time::Duration::from_secs(4));
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.bench_function("train_step-k32", |bench| {
         bench.iter(|| {
-            net.zero_grads();
-            let logits = net.forward(std::hint::black_box(&x), true);
-            let (_, grad) = loss::softmax_cross_entropy(&logits, &[0.0, 1.0]);
-            net.backward(&grad);
-            net.apply_gradients(1e-4);
+            let sample = [(std::hint::black_box(&x), [0.0, 1.0])];
+            optim::minibatch_step(&mut net, &mut ex, &sample, 1e-4)
         });
     });
     group.finish();
@@ -59,14 +59,15 @@ fn bench_raw_image_input(c: &mut Criterion) {
         input_channels: 1,
         ..CnnConfig::default()
     };
-    let mut net = cfg.build();
+    let net = cfg.build();
     let x = Tensor::from_vec(cfg.input_shape(), vec![0.3; 120 * 120]);
+    let mut ex = Executor::new();
     let mut group = c.benchmark_group("cnn_raw_image");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(5));
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.bench_function("forward-raw-120px", |bench| {
-        bench.iter(|| net.forward(std::hint::black_box(&x), false));
+        bench.iter(|| ex.infer(&net, std::hint::black_box(&x))[0]);
     });
     group.finish();
 }

@@ -61,12 +61,13 @@ fn bench_clip_scoring(c: &mut Criterion) {
     let pipeline = FeaturePipeline::new(10, 12, 32).expect("valid pipeline parameters");
     let mut rng = rand::rngs::StdRng::seed_from_u64(4);
     let clip = patterns::sample_pattern(PatternKind::LineArray, &mut rng);
-    let mut net = CnnConfig {
+    let net = CnnConfig {
         input_grid: pipeline.grid_dim(),
         input_channels: pipeline.coefficients(),
         ..CnnConfig::default()
     }
     .build();
+    let mut ex = hotspot_nn::engine::Executor::new();
     let mut group = c.benchmark_group("scoring");
     group.sample_size(15);
     group.measurement_time(std::time::Duration::from_secs(4));
@@ -76,7 +77,7 @@ fn bench_clip_scoring(c: &mut Criterion) {
             let x = pipeline
                 .extract(std::hint::black_box(&clip))
                 .expect("suite clip fits the pipeline");
-            net.forward(&x, false)
+            ex.infer(&net, &x)[0]
         });
     });
     group.finish();

@@ -37,8 +37,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 
-const AUC_STEPS: usize = 256;
-
 fn curve_json(curve: &[(usize, f64)]) -> String {
     let points: Vec<String> = curve
         .iter()
@@ -75,9 +73,7 @@ fn main() {
     let (test_features, test_labels) = pipeline
         .extract_dataset(&data.test)
         .expect("test set extracts");
-    let auc_of = |net: &hotspot_nn::Network| -> f64 {
-        roc::auc(net, &test_features, &test_labels, AUC_STEPS)
-    };
+    let auc_of = |net: &hotspot_nn::Network| -> f64 { roc::auc(net, &test_features, &test_labels) };
 
     let active_cfg = ActiveConfig {
         rounds,
@@ -239,7 +235,7 @@ fn main() {
         "{{\n  \"benchmark\": \"{}\",\n  \"scale\": {scale},\n  \
          \"seed_clips\": {},\n  \"pool_size\": {pool_size},\n  \
          \"rounds\": {rounds},\n  \"batch\": {batch},\n  \
-         \"train_steps\": {steps},\n  \"auc_sweep_steps\": {AUC_STEPS},\n  \
+         \"train_steps\": {steps},\n  \
          \"full_supervision\": {{ \"labeler_calls\": {full_calls}, \"labeler_cost_s\": {:.1}, \"auc\": {full_auc:.6} }},\n  \
          \"active\": {{ \"labeler_calls\": {active_calls}, \"labeler_cost_s\": {:.1}, \"auc\": {active_auc:.6}, \"curve\": {} }},\n  \
          \"random\": {{ \"labeler_calls\": {random_calls}, \"labeler_cost_s\": {:.1}, \"auc\": {random_auc:.6}, \"curve\": {} }},\n  \

@@ -407,6 +407,9 @@ mod tests {
         let mut b = toy_net(4);
         mgd::train(&mut b, &features, &labels, 0.0, &cfg.initial).unwrap();
         let x = &features[0];
-        assert_eq!(a.forward(x, false), b.forward(x, false));
+        assert_eq!(
+            hotspot_nn::engine::Executor::new().infer(&a, x),
+            hotspot_nn::engine::Executor::new().infer(&b, x)
+        );
     }
 }

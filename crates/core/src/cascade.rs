@@ -107,7 +107,7 @@ impl CascadeConfig {
 /// prefilter clears.
 ///
 /// Construct by training ([`CascadePrefilter::train`], or
-/// [`crate::detector::HotspotDetector::fit_with_cascade`]) or by reloading
+/// [`crate::detector::HotspotDetector::train_prefilter`]) or by reloading
 /// serialised bytes ([`CascadePrefilter::from_bytes`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CascadePrefilter {

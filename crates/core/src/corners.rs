@@ -31,9 +31,10 @@ use crate::CoreError;
 use hotspot_datagen::Dataset;
 use hotspot_geometry::Clip;
 use hotspot_nn::data::BatchSampler;
+use hotspot_nn::engine::Executor;
 use hotspot_nn::layers::{Dense, Flatten, Relu};
 use hotspot_nn::loss::{sigmoid, sigmoid_bce_into};
-use hotspot_nn::{Network, Tensor};
+use hotspot_nn::Network;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -225,6 +226,8 @@ impl CornerHead {
 
         let mut sampler = BatchSampler::new(features.len(), StdRng::seed_from_u64(config.seed));
         let batch = config.batch_size.min(features.len());
+        let mut ex = Executor::new();
+        let mut grad = vec![0.0f32; n_corners + 1];
         let mut final_loss = 0.0f32;
         for _ in 0..config.epochs {
             let order = sampler.epoch();
@@ -234,17 +237,13 @@ impl CornerHead {
                 net.zero_grads();
                 let mut batch_loss = 0.0f32;
                 for &i in chunk {
-                    let logits = net.forward(&features[i], true);
-                    let x = logits.as_slice();
-                    let mut grad = vec![0.0f32; x.len()];
+                    let x = ex.forward_train(&mut net, &features[i]);
                     let bce =
                         sigmoid_bce_into(&x[..n_corners], &targets[i], &mut grad[..n_corners]);
-                    let pred = x[n_corners];
-                    let t = severities[i] / severity_scale;
-                    let diff = pred - t;
+                    let diff = x[n_corners] - severities[i] / severity_scale;
                     grad[n_corners] = 2.0 * config.severity_weight * diff;
                     batch_loss += bce + config.severity_weight * diff * diff;
-                    net.backward(&Tensor::from_vec(vec![x.len()], grad));
+                    ex.backward(&mut net, &grad);
                 }
                 net.apply_gradients(config.lr / chunk.len() as f32);
                 epoch_loss += batch_loss / chunk.len() as f32;
@@ -280,8 +279,8 @@ impl CornerHead {
     /// Propagates feature-extraction failures.
     pub fn predict(&self, clip: &Clip) -> Result<CornerPrediction, CoreError> {
         let input = self.pipeline.extract(clip)?;
-        let logits = self.net.forward_inference(&input);
-        let x = logits.as_slice();
+        let mut ex = Executor::new();
+        let x = ex.infer(&self.net, &input);
         Ok(CornerPrediction {
             corner_probs: x[..self.n_corners].iter().map(|&v| sigmoid(v)).collect(),
             severity: x[self.n_corners] * self.severity_scale,

@@ -7,11 +7,10 @@ use crate::feature::FeaturePipeline;
 use crate::metrics::EvalResult;
 use crate::mgd;
 use crate::model::CnnConfig;
-use crate::parallelism::Parallelism;
 use crate::CoreError;
 use hotspot_datagen::Dataset;
 use hotspot_geometry::Clip;
-use hotspot_nn::Network;
+use hotspot_nn::{optim, Network, Parallelism};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -139,29 +138,6 @@ impl HotspotDetector {
         })
     }
 
-    /// [`HotspotDetector::fit`] plus a calibrated cascade prefilter
-    /// trained on the *same* dataset: the CNN learns the paper's biased
-    /// procedure, and the prefilter's AdaBoost-over-density stage is
-    /// calibrated to `cascade.target_fnr` on a deterministic held-out
-    /// split (see [`CascadePrefilter::train`]). Feed the prefilter to
-    /// [`crate::ScanConfig::with_cascade`] for two-stage scanning.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`HotspotDetector::fit`] rejects, plus
-    /// [`CoreError::Prefilter`] /
-    /// [`CoreError::InvalidConfig`] for cascade training and calibration
-    /// failures.
-    pub fn fit_with_cascade(
-        train: &Dataset,
-        config: &DetectorConfig,
-        cascade: &CascadeConfig,
-    ) -> Result<(Self, CascadePrefilter), CoreError> {
-        let detector = Self::fit(train, config)?;
-        let prefilter = detector.train_prefilter(train, cascade)?;
-        Ok((detector, prefilter))
-    }
-
     /// Trains and calibrates a cascade prefilter against this detector's
     /// raster resolution (so scan-time density crops reproduce the
     /// training-time vectors bit-for-bit).
@@ -244,8 +220,8 @@ impl HotspotDetector {
 
     /// Predicted hotspot probability of one clip.
     ///
-    /// Inference is read-only (`Network::forward_inference`), so a shared
-    /// detector can score clips from many threads concurrently.
+    /// Inference is read-only (planned passes through `&Network`), so a
+    /// shared detector can score clips from many threads concurrently.
     ///
     /// # Errors
     ///
@@ -353,8 +329,9 @@ impl HotspotDetector {
     /// can be effectively updated with newly incoming instances").
     ///
     /// Each `(clip, hotspot)` pair contributes one gradient step at rate
-    /// `lr` towards its (optionally biased) target; `epsilon` plays the
-    /// same role as in [`crate::biased`].
+    /// `lr` towards its (optionally biased) target — a one-sample
+    /// [`optim::minibatch_step`]; `epsilon` plays the same role as in
+    /// [`crate::biased`].
     ///
     /// # Errors
     ///
@@ -370,21 +347,10 @@ impl HotspotDetector {
             return Err(CoreError::InvalidConfig("ε must be in [0, 0.5)"));
         }
         let mut ex = hotspot_nn::engine::Executor::new();
-        let mut grad = Vec::new();
         for (clip, hotspot) in samples {
             let feature = self.pipeline.extract(clip)?;
-            self.net.zero_grads();
-            {
-                let logits = ex.forward_train(&mut self.net, &feature);
-                grad.resize(logits.len(), 0.0);
-                let _ = hotspot_nn::loss::softmax_cross_entropy_into(
-                    logits,
-                    &mgd::target_for(*hotspot, epsilon),
-                    &mut grad,
-                );
-            }
-            ex.backward(&mut self.net, &grad);
-            self.net.apply_gradients(lr);
+            let target = mgd::target_for(*hotspot, epsilon);
+            optim::minibatch_step(&mut self.net, &mut ex, &[(&feature, target)], lr);
         }
         Ok(())
     }

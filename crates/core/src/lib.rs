@@ -55,7 +55,6 @@ pub mod metrics;
 pub mod mgd;
 pub mod model;
 pub mod model_file;
-pub mod parallelism;
 pub mod prelude;
 pub mod roc;
 pub mod scan;
@@ -74,11 +73,11 @@ pub use corners::{
 };
 pub use detector::{DetectorConfig, HotspotDetector};
 pub use feature::FeaturePipeline;
+pub use hotspot_nn::Parallelism;
 pub use metrics::EvalResult;
 pub use mgd::{MgdConfig, TrainReport};
 pub use model::CnnConfig;
 pub use model_file::ModelFile;
-pub use parallelism::Parallelism;
 pub use scan::{
     CacheStats, CascadeScanStats, HotspotRegion, ScanConfig, ScanReport, ScanStage, WindowScore,
 };

@@ -1,13 +1,13 @@
 //! Mini-batch gradient descent with validation-based stopping
 //! (paper Algorithm 1 and Section 4.2).
 
-use crate::parallelism::Parallelism;
 use crate::CoreError;
 use hotspot_nn::data::BatchSampler;
 use hotspot_nn::engine::Executor;
-use hotspot_nn::optim::LrSchedule;
+use hotspot_nn::optim::{self, LrSchedule};
+use hotspot_nn::parallel::{self, ReplicaPool};
 use hotspot_nn::serialize::ParameterBlob;
-use hotspot_nn::{loss, Network, Tensor};
+use hotspot_nn::{loss, Network, Parallelism, Tensor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -109,15 +109,15 @@ pub fn target_for(hotspot: bool, epsilon: f32) -> [f32; 2] {
 /// Predicted probability that `feature` is a hotspot (`y(1)` of Eq. (6)).
 ///
 /// Inference-mode only, through `&Network` — concurrent callers may share
-/// one network (see [`Network::forward_inference`]).
+/// one network. Plans a fresh [`Executor`] per call; scoring loops should
+/// hold one instead (see [`predict_all`]).
 pub fn predict_hotspot_prob(net: &Network, feature: &Tensor) -> f32 {
-    let logits = net.forward_inference(feature);
-    loss::softmax(logits.as_slice())[1]
+    loss::softmax(Executor::new().infer(net, feature))[1]
 }
 
 /// [`predict_hotspot_prob`] through a caller-held [`Executor`]: the shape
 /// plan and arena are reused across calls, so a scoring loop allocates
-/// nothing after the first feature. Bit-identical to the allocating path.
+/// nothing after the first feature.
 fn hotspot_prob_planned(
     ex: &mut Executor,
     net: &Network,
@@ -390,8 +390,7 @@ pub fn train_resumable(
     // only copies parameters in between. Built *after* any resume restore
     // so replicas clone the restored master, then overlaid with the
     // checkpointed per-replica dropout streams.
-    let mut pool =
-        (config.threads > 1).then(|| hotspot_nn::parallel::ReplicaPool::new(net, config.threads));
+    let mut pool = (config.threads > 1).then(|| ReplicaPool::new(net, config.threads));
     if let (Some(state), Some(pool)) = (resume, pool.as_mut()) {
         pool.restore_rng_states(&state.replica_rngs).map_err(|e| {
             CoreError::Checkpoint(format!("resume replica RNG states do not fit: {e}"))
@@ -402,7 +401,7 @@ pub fn train_resumable(
     // arena are built on the first sample and reused for every step, so
     // steady-state training performs no per-sample allocations.
     let mut executor = Executor::new();
-    let mut grad_buf: Vec<f32> = Vec::new();
+    let mut pairs: Vec<(&Tensor, [f32; 2])> = Vec::with_capacity(config.batch_size);
 
     let start = Instant::now();
     if resume.is_none() {
@@ -416,7 +415,6 @@ pub fn train_resumable(
 
     while steps < config.max_steps {
         // One MGD step (Algorithm 1 lines 4–14).
-        net.zero_grads();
         let batch: Vec<usize> = if balanced {
             use rand::Rng;
             (0..config.batch_size)
@@ -432,27 +430,16 @@ pub fn train_resumable(
                 .map(|bi| train_idx[bi])
                 .collect()
         };
-        if let Some(pool) = pool.as_mut() {
-            let pairs: Vec<(&Tensor, [f32; 2])> = batch
+        pairs.clear();
+        pairs.extend(
+            batch
                 .iter()
-                .map(|&i| (&features[i], target_for(labels[i], epsilon)))
-                .collect();
-            hotspot_nn::parallel::minibatch_step_pooled(net, pool, &pairs, schedule.current());
-        } else {
-            for &i in &batch {
-                {
-                    let logits = executor.forward_train(net, &features[i]);
-                    grad_buf.resize(logits.len(), 0.0);
-                    let _ = loss::softmax_cross_entropy_into(
-                        logits,
-                        &target_for(labels[i], epsilon),
-                        &mut grad_buf,
-                    );
-                }
-                executor.backward(net, &grad_buf);
-            }
-            net.apply_gradients(schedule.current() / config.batch_size as f32);
-        }
+                .map(|&i| (&features[i], target_for(labels[i], epsilon))),
+        );
+        match pool.as_mut() {
+            Some(pool) => parallel::minibatch_step_pooled(net, pool, &pairs, schedule.current()),
+            None => optim::minibatch_step(net, &mut executor, &pairs, schedule.current()),
+        };
         schedule.tick();
         steps += 1;
 
@@ -597,7 +584,7 @@ mod tests {
         assert_eq!(ra.steps, rb.steps);
         assert_eq!(ra.best_val_accuracy, rb.best_val_accuracy);
         let x = &features[0];
-        assert_eq!(a.forward(x, false), b.forward(x, false));
+        assert_eq!(Executor::new().infer(&a, x), Executor::new().infer(&b, x));
     }
 
     #[test]

@@ -98,6 +98,7 @@ impl CnnConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hotspot_nn::engine::Executor;
     use hotspot_nn::Tensor;
 
     #[test]
@@ -131,9 +132,10 @@ mod tests {
             input_channels: 4,
             ..CnnConfig::default()
         };
-        let mut net = cfg.build();
-        let y = net.forward(&Tensor::zeros(cfg.input_shape()), false);
-        assert_eq!(y.shape(), &[2]);
+        let net = cfg.build();
+        let mut ex = Executor::new();
+        let y = ex.infer(&net, &Tensor::zeros(cfg.input_shape()));
+        assert_eq!(y.len(), 2);
     }
 
     #[test]
@@ -152,10 +154,10 @@ mod tests {
     #[test]
     fn seeded_builds_are_identical() {
         let cfg = CnnConfig::default();
-        let mut a = cfg.build();
-        let mut b = cfg.build();
+        let a = cfg.build();
+        let b = cfg.build();
         let x = Tensor::zeros(cfg.input_shape());
-        assert_eq!(a.forward(&x, false), b.forward(&x, false));
+        assert_eq!(Executor::new().infer(&a, &x), Executor::new().infer(&b, &x));
     }
 
     #[test]

@@ -252,10 +252,13 @@ mod tests {
         let back = ModelFile::from_bytes(&bytes).unwrap();
         assert_eq!(m, back);
         // Network rebuild works and predicts identically.
-        let mut a = m.network().unwrap();
-        let mut b = back.network().unwrap();
+        let a = m.network().unwrap();
+        let b = back.network().unwrap();
         let x = hotspot_nn::Tensor::zeros(vec![4, 12, 12]);
-        assert_eq!(a.forward(&x, false), b.forward(&x, false));
+        assert_eq!(
+            hotspot_nn::engine::Executor::new().infer(&a, &x),
+            hotspot_nn::engine::Executor::new().infer(&b, &x)
+        );
     }
 
     #[test]

@@ -20,6 +20,6 @@ pub use crate::metrics::EvalResult;
 pub use crate::mgd::{MgdConfig, TrainReport};
 pub use crate::model::CnnConfig;
 pub use crate::model_file::ModelFile;
-pub use crate::parallelism::Parallelism;
 pub use crate::scan::{CacheStats, HotspotRegion, ScanConfig, ScanReport, WindowScore};
 pub use crate::CoreError;
+pub use crate::Parallelism;

@@ -2,7 +2,8 @@
 //!
 //! The paper's Figure 4 compares operating points; this module exposes the
 //! full trade-off curve so any operating point can be read off without
-//! re-scoring the test set.
+//! re-scoring the test set ([`sweep`], for plotting), and the exact,
+//! threshold-free area under it ([`auc`]).
 
 use crate::mgd::predict_hotspot_prob;
 use hotspot_nn::{Network, Tensor};
@@ -57,29 +58,48 @@ pub fn sweep(net: &Network, features: &[Tensor], labels: &[bool], steps: usize) 
     curve
 }
 
-/// Area under the recall-vs-false-alarm-rate curve (trapezoidal), a single
-/// threshold-free quality number in `[0, 1]`.
+/// Area under the ROC curve (recall against false-alarm rate), computed
+/// exactly as the Mann–Whitney rank statistic: the probability that a
+/// random hotspot scores above a random non-hotspot, with ties counted as
+/// ½. There is no threshold grid to quantise the curve, and samples whose
+/// probability saturates to exactly `0.0` or `1.0` simply tie.
 ///
-/// The sweep is anchored at the theoretical ROC endpoints `(0, 0)` and
-/// `(1, 1)` before integrating. The anchors matter: the sweep's strict
-/// `p > threshold` rule means samples whose predicted probability
-/// saturates to exactly `0.0` (f32 softmax underflow) are never flagged
-/// even at threshold 0, so the raw curve can stop short of `(1, 1)` — and
-/// the area of that missing tail used to be silently dropped, scoring a
-/// perfect separator as low as 0.
-pub fn auc(net: &Network, features: &[Tensor], labels: &[bool], steps: usize) -> f64 {
-    let non_hotspots = labels.iter().filter(|&&l| !l).count().max(1) as f64;
-    let curve = sweep(net, features, labels, steps);
-    let mut area = 0.0f64;
-    let (mut prev_x, mut prev_y) = (0.0f64, 0.0f64);
-    for p in &curve {
-        let x = p.false_alarms as f64 / non_hotspots;
-        area += (x - prev_x) * (p.recall + prev_y) / 2.0;
-        (prev_x, prev_y) = (x, p.recall);
+/// Returns 0.5 (no information) when either class is absent.
+///
+/// # Panics
+///
+/// Panics if `features` and `labels` differ in length.
+pub fn auc(net: &Network, features: &[Tensor], labels: &[bool]) -> f64 {
+    assert_eq!(features.len(), labels.len(), "feature/label mismatch");
+    let hotspots = labels.iter().filter(|&&l| l).count();
+    let non_hotspots = labels.len() - hotspots;
+    if hotspots == 0 || non_hotspots == 0 {
+        return 0.5;
     }
-    // Close the curve with the segment a threshold below 0 would produce
-    // (flag everything: recall 1, false-alarm rate 1).
-    area + (1.0 - prev_x) * (1.0 + prev_y) / 2.0
+    let mut scored: Vec<(f32, bool)> = features
+        .iter()
+        .map(|f| predict_hotspot_prob(net, f))
+        .zip(labels.iter().copied())
+        .collect();
+    scored.sort_by(|a, b| a.0.total_cmp(&b.0));
+    // Sum of the hotspots' 1-based ranks; a run of tied scores shares its
+    // mean rank, which is what counts each tied pair as ½.
+    let mut rank_sum = 0.0f64;
+    let mut start = 0;
+    while start < scored.len() {
+        let end = start
+            + scored[start..]
+                .iter()
+                .take_while(|s| s.0 == scored[start].0)
+                .count()
+                .max(1); // a NaN score never equals itself
+        let mean_rank = (start + 1 + end) as f64 / 2.0;
+        let tied_hotspots = scored[start..end].iter().filter(|s| s.1).count();
+        rank_sum += mean_rank * tied_hotspots as f64;
+        start = end;
+    }
+    let (h, n) = (hotspots as f64, non_hotspots as f64);
+    (rank_sum - h * (h + 1.0) / 2.0) / (h * n)
 }
 
 #[cfg(test)]
@@ -134,30 +154,44 @@ mod tests {
     #[test]
     fn perfect_separator_has_unit_auc() {
         let (x, y) = data();
-        let net = scoring_net(8.0);
-        let a = auc(&net, &x, &y, 200);
-        assert!(a > 0.99, "auc {a}");
+        assert_eq!(auc(&scoring_net(8.0), &x, &y), 1.0);
     }
 
     #[test]
-    fn inverted_scorer_has_low_auc() {
+    fn inverted_scorer_has_zero_auc() {
         let (x, y) = data();
-        let net = scoring_net(-8.0);
-        let a = auc(&net, &x, &y, 200);
-        assert!(a < 0.1, "auc {a}");
+        assert_eq!(auc(&scoring_net(-8.0), &x, &y), 0.0);
     }
 
     #[test]
     fn saturated_probabilities_keep_unit_auc() {
         // A large logit gap saturates the f32 softmax: hotspots score
-        // exactly 1.0 and non-hotspots exactly 0.0. The strict `p > t`
-        // sweep then never flags the non-hotspots at any threshold in
-        // [0, 1], so without the (1, 1) anchor every curve point sits at
-        // false-alarm rate 0 and this *perfect* separator scored AUC 0.
+        // exactly 1.0 and non-hotspots exactly 0.0. The ties are all
+        // within a class, so this perfect separator keeps AUC 1 (a
+        // strict `p > t` threshold sweep never flags the 0.0 scores and
+        // once scored it 0).
         let (x, y) = data();
-        let net = scoring_net(300.0);
-        let a = auc(&net, &x, &y, 200);
-        assert!(a > 0.99, "auc {a}");
+        assert_eq!(auc(&scoring_net(300.0), &x, &y), 1.0);
+    }
+
+    #[test]
+    fn tied_scores_count_half() {
+        // Scores rise with the input; the two 0.5 inputs tie across the
+        // classes. Hotspot/non-hotspot pairs: (0.5, -1) and (1, -1) and
+        // (1, 0.5) are ordered, (0.5, 0.5) ties: (3 + ½) / 4.
+        let xs: Vec<Tensor> = [-1.0f32, 0.5, 0.5, 1.0]
+            .iter()
+            .map(|&x| Tensor::from_vec(vec![1], vec![x]))
+            .collect();
+        let labels = [false, true, false, true];
+        assert_eq!(auc(&scoring_net(4.0), &xs, &labels), 0.875);
+    }
+
+    #[test]
+    fn single_class_auc_is_uninformative() {
+        let (x, _) = data();
+        assert_eq!(auc(&scoring_net(4.0), &x, &[true; 6]), 0.5);
+        assert_eq!(auc(&scoring_net(4.0), &x, &[false; 6]), 0.5);
     }
 
     #[test]

@@ -303,6 +303,7 @@ impl TrainSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hotspot_nn::engine::Executor;
     use hotspot_nn::layers::{Dense, Relu};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -367,8 +368,8 @@ mod tests {
         assert_eq!(report.rounds.len(), ref_report.rounds.len());
         let x = &features[0];
         assert_eq!(
-            session.network().forward_inference(x),
-            reference.forward_inference(x),
+            Executor::new().infer(session.network(), x),
+            Executor::new().infer(&reference, x),
             "session schedule must be bit-identical to train_biased"
         );
         assert_eq!(session.completed().len(), 2);

@@ -1,4 +1,5 @@
-//! Shape-planned execution: arena-allocated forward/backward passes.
+//! Shape-planned execution: arena-allocated forward/backward passes — the
+//! only way a [`Network`] runs.
 //!
 //! A [`ShapePlan`] is computed once per (network, input shape) and records,
 //! for every layer, where its input, output, f32 scratch, and index scratch
@@ -29,18 +30,24 @@
 //! ([`crate::Layer::scratch_infer_len`]) — for the paper network that
 //! shrinks the scratch arena ~4× and keeps the im2col buffer cache-hot
 //! across the whole conv stack. Consequently `backward_with` must follow a
-//! `forward_train_with` with no intervening `forward_with` on the same
-//! workspace.
+//! `forward_train_with` with no intervening inference pass on the same
+//! workspace; the workspace records which kind of pass it last held, and
+//! `backward_with` panics after anything but a training forward (an
+//! inference forward may leave conv's direct-kernel taps where backward
+//! expects the im2col matrix).
 //!
 //! # Determinism and bit-identity
 //!
-//! The planned path is bit-identical to the allocating [`crate::Layer`]
-//! wrappers by construction: both call the very same `forward_into` /
-//! `backward_into` implementations, and a fused epilogue applies the very
-//! same per-element expression *after* the GEMM accumulation finished, in
+//! Fusion never changes a bit: a fused epilogue applies the very same
+//! per-element expression *after* the GEMM accumulation finished, in
 //! index order — exactly what the standalone activation layer would have
-//! done one call later. Dropout draws its mask stream in strict element
-//! order on both paths, so checkpoint/resume stays bit-identical too.
+//! done one step later — and its gradient goes through
+//! [`Epilogue::grad_from_output`], the standalone activation's backward
+//! arithmetic. The tests pin this against an unfused reference (the same
+//! layers, one per network: a one-layer plan fuses nothing). Batched
+//! passes are bit-identical per sample to single-sample ones. Dropout
+//! draws its mask stream in strict element order, one draw per element
+//! per training forward, so checkpoint/resume stays bit-identical too.
 //!
 //! # Examples
 //!
@@ -58,8 +65,14 @@
 //! let x = Tensor::from_vec(vec![4], vec![0.1, -0.2, 0.3, -0.4]);
 //! let logits = ex.infer(&net, &x).to_vec();
 //! assert_eq!(logits.len(), 2);
-//! // Bit-identical to the allocating path.
-//! assert_eq!(logits, net.forward_inference(&x).as_slice());
+//!
+//! // One training step: forward, loss gradient, backward, update.
+//! let mut grad = [0.0f32; 2];
+//! net.zero_grads();
+//! let logits = ex.forward_train(&mut net, &x);
+//! hotspot_nn::loss::softmax_cross_entropy_into(logits, &[0.0, 1.0], &mut grad);
+//! ex.backward(&mut net, &grad);
+//! net.apply_gradients(0.1);
 //! ```
 
 use crate::gemm::Epilogue;
@@ -196,6 +209,9 @@ pub struct Workspace {
     idx: Vec<usize>,
     g_cur: Vec<f32>,
     g_nxt: Vec<f32>,
+    /// Whether the arena holds a completed training forward, the only
+    /// state `backward_with` may differentiate through.
+    trained: bool,
 }
 
 impl Workspace {
@@ -359,8 +375,7 @@ impl Network {
     /// Inference-mode planned forward pass: writes every activation into
     /// `ws` and returns the output slice (borrowed from the workspace).
     /// Callable through `&self`, so worker threads can share one network
-    /// with per-worker workspaces. Bit-identical to
-    /// [`Network::forward_inference`].
+    /// with per-worker workspaces.
     ///
     /// # Panics
     ///
@@ -374,6 +389,7 @@ impl Network {
     ) -> &'ws [f32] {
         self.check_plan(plan, input.len());
         ws.prepare(plan, false);
+        ws.trained = false;
         if plan.steps.is_empty() {
             // Degenerate empty network: the output *is* the input region.
             ws.acts[..plan.in_len].copy_from_slice(input);
@@ -440,6 +456,7 @@ impl Network {
             "input length does not match plan batch"
         );
         ws.prepare(plan, false);
+        ws.trained = false;
         if plan.steps.is_empty() {
             ws.acts[..plan.in_len * b].copy_from_slice(input);
         }
@@ -469,9 +486,10 @@ impl Network {
     }
 
     /// Training-mode planned forward pass (dropout draws masks from its
-    /// RNG stream, exactly one draw per element in order — the same stream
-    /// consumption as the allocating `forward(input, true)`). The arena
-    /// then holds everything [`Network::backward_with`] needs.
+    /// RNG stream, exactly one draw per element in order). The arena then
+    /// holds everything [`Network::backward_with`] needs: conv always
+    /// takes the im2col path here, whatever the kernel backend, and every
+    /// layer's scratch region is its own.
     ///
     /// # Panics
     ///
@@ -485,6 +503,7 @@ impl Network {
     ) -> &'ws [f32] {
         self.check_plan(plan, input.len());
         ws.prepare(plan, true);
+        ws.trained = false;
         ws.acts[..plan.in_len].copy_from_slice(input);
         let layers = self.layers_mut();
         for step in &plan.steps {
@@ -498,6 +517,7 @@ impl Network {
                 step.epilogue,
             );
         }
+        ws.trained = true;
         let off = plan.out_off();
         &ws.acts[off..off + plan.out_len()]
     }
@@ -512,8 +532,11 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics if `plan` does not match this network or `loss_grad` does
-    /// not match the plan's output length.
+    /// Panics if `plan` does not match this network, `loss_grad` does not
+    /// match the plan's output length, or the last pass on `ws` was not a
+    /// training forward (an inference pass leaves scratch that backward
+    /// cannot read, so differentiating through it would silently return
+    /// wrong gradients).
     pub fn backward_with<'ws>(
         &mut self,
         plan: &ShapePlan,
@@ -533,6 +556,10 @@ impl Network {
             loss_grad.len(),
             plan.out_len(),
             "loss gradient does not match plan output"
+        );
+        assert!(
+            ws.trained,
+            "backward_with called before forward_train_with on this workspace"
         );
         ws.prepare(plan, true);
         ws.g_cur[..plan.out_len()].copy_from_slice(loss_grad);
@@ -655,7 +682,8 @@ impl Executor {
     ///
     /// # Panics
     ///
-    /// Panics if no plan has been built yet.
+    /// Panics unless the last pass on this executor was
+    /// [`Executor::forward_train`].
     pub fn backward(&mut self, net: &mut Network, loss_grad: &[f32]) -> &[f32] {
         let plan = match &self.plan {
             Some(p) => p,
@@ -787,19 +815,80 @@ impl BatchScorer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Conv2d, Dense, Dropout, Flatten, MaxPool2, Relu, Sigmoid, Tanh};
+    use crate::layers::{Conv2d, Dense, Dropout, Flatten, Layer, MaxPool2, Relu, Sigmoid, Tanh};
+    use crate::loss;
+
+    /// Appends `layer` to the last network of `nets`, or to a new one
+    /// when `split`.
+    fn push<L: Layer + 'static>(nets: &mut Vec<Network>, split: bool, layer: L) {
+        if split || nets.is_empty() {
+            nets.push(Network::new());
+        }
+        if let Some(net) = nets.last_mut() {
+            net.push(layer);
+        }
+    }
+
+    /// The paper-like test stack: one network, or (`split`) the same
+    /// layers one per network.
+    fn paper_like_stack(split: bool) -> Vec<Network> {
+        let mut nets = Vec::new();
+        push(&mut nets, split, Conv2d::new(2, 4, 3, 1, 5));
+        push(&mut nets, split, Relu::new());
+        push(&mut nets, split, MaxPool2::new());
+        push(&mut nets, split, Flatten::new());
+        push(&mut nets, split, Dense::new(4 * 3 * 3, 8, 6));
+        push(&mut nets, split, Relu::new());
+        push(&mut nets, split, Dropout::new(0.5, 7));
+        push(&mut nets, split, Dense::new(8, 2, 8));
+        nets
+    }
 
     fn paper_like_net() -> Network {
-        let mut net = Network::new();
-        net.push(Conv2d::new(2, 4, 3, 1, 5));
-        net.push(Relu::new());
-        net.push(MaxPool2::new());
-        net.push(Flatten::new());
-        net.push(Dense::new(4 * 3 * 3, 8, 6));
-        net.push(Relu::new());
-        net.push(Dropout::new(0.5, 7));
-        net.push(Dense::new(8, 2, 8));
-        net
+        paper_like_stack(false).remove(0)
+    }
+
+    /// The unfused reference for [`paper_like_net`]: its layers one per
+    /// network, chained through one executor each. A one-layer plan fuses
+    /// nothing, so every activation runs as a standalone layer.
+    struct Unfused {
+        nets: Vec<Network>,
+        exs: Vec<Executor>,
+    }
+
+    impl Unfused {
+        fn new() -> Self {
+            let nets = paper_like_stack(true);
+            let exs = nets.iter().map(|_| Executor::new()).collect();
+            Unfused { nets, exs }
+        }
+
+        fn forward(&mut self, x: &Tensor, train: bool) -> Vec<f32> {
+            let mut cur = x.clone();
+            for (net, ex) in self.nets.iter_mut().zip(&mut self.exs) {
+                let y = if train {
+                    ex.forward_train(net, &cur).to_vec()
+                } else {
+                    ex.infer(net, &cur).to_vec()
+                };
+                cur = Tensor::from_vec(ex.plan().unwrap().out_shape().to_vec(), y);
+            }
+            cur.into_vec()
+        }
+
+        fn backward(&mut self, loss_grad: &[f32]) -> Vec<f32> {
+            let mut g = loss_grad.to_vec();
+            for (net, ex) in self.nets.iter_mut().zip(&mut self.exs).rev() {
+                g = ex.backward(net, &g).to_vec();
+            }
+            g
+        }
+
+        fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut [f32], &mut [f32])) {
+            for net in &mut self.nets {
+                net.visit_params(visitor);
+            }
+        }
     }
 
     fn wavy_input(len: usize, shape: Vec<usize>) -> Tensor {
@@ -860,31 +949,32 @@ mod tests {
     }
 
     #[test]
-    fn planned_inference_is_bit_identical_to_legacy() {
-        let mut net = paper_like_net();
+    fn planned_inference_is_bit_identical_to_unfused() {
+        let net = paper_like_net();
         let x = wavy_input(2 * 6 * 6, vec![2, 6, 6]);
-        let legacy = net.forward(&x, false);
+        let reference = Unfused::new().forward(&x, false);
         let plan = net.plan(&[2, 6, 6]);
+        assert_eq!(plan.fused_count(), 2);
         let mut ws = Workspace::new();
         let planned = net.forward_with(&plan, &mut ws, x.as_slice()).to_vec();
-        assert_eq!(planned.as_slice(), legacy.as_slice());
+        assert_eq!(planned, reference);
         // And through the executor front door.
         let mut ex = Executor::new();
-        assert_eq!(ex.infer(&net, &x), legacy.as_slice());
+        assert_eq!(ex.infer(&net, &x), &reference[..]);
     }
 
     #[test]
-    fn planned_training_step_matches_legacy_gradients_bitwise() {
-        // Run one forward/backward on two identical networks — one through
-        // the legacy wrappers, one through the planned path — and compare
-        // every accumulated gradient bit-for-bit.
-        let mut legacy_net = paper_like_net();
+    fn planned_training_step_matches_unfused_gradients_bitwise() {
+        // Run one forward/backward on two identical parameter sets — one
+        // fused plan, one chain of one-layer plans — and compare every
+        // accumulated gradient bit-for-bit.
+        let mut unfused = Unfused::new();
         let mut planned_net = paper_like_net();
         let x = wavy_input(2 * 6 * 6, vec![2, 6, 6]);
         let loss_grad = vec![0.7f32, -0.3];
 
-        let y_legacy = legacy_net.forward(&x, true);
-        let gin_legacy = legacy_net.backward(&Tensor::from_vec(vec![2], loss_grad.clone()));
+        let y_unfused = unfused.forward(&x, true);
+        let gin_unfused = unfused.backward(&loss_grad);
 
         let plan = planned_net.plan(&[2, 6, 6]);
         let mut ws = Workspace::new();
@@ -895,25 +985,27 @@ mod tests {
             .backward_with(&plan, &mut ws, &loss_grad)
             .to_vec();
 
-        assert_eq!(y_planned.as_slice(), y_legacy.as_slice());
-        assert_eq!(gin_planned.as_slice(), gin_legacy.as_slice());
+        assert_eq!(y_planned, y_unfused);
+        assert_eq!(gin_planned, gin_unfused);
 
-        let mut grads_legacy = Vec::new();
-        legacy_net.visit_params(&mut |_, g| grads_legacy.push(g.to_vec()));
+        let mut grads_unfused = Vec::new();
+        unfused.visit_params(&mut |_, g| grads_unfused.push(g.to_vec()));
         let mut grads_planned = Vec::new();
         planned_net.visit_params(&mut |_, g| grads_planned.push(g.to_vec()));
-        assert_eq!(grads_legacy, grads_planned);
+        assert_eq!(grads_unfused, grads_planned);
 
         // Both consumed the dropout stream identically.
-        assert_eq!(legacy_net.rng_states(), planned_net.rng_states());
+        let rngs: Vec<[u64; 4]> = unfused.nets.iter().flat_map(|n| n.rng_states()).collect();
+        assert_eq!(rngs, planned_net.rng_states());
     }
 
     #[test]
     fn repeated_training_steps_stay_bit_identical() {
-        let mut legacy_net = paper_like_net();
+        let mut unfused = Unfused::new();
         let mut planned_net = paper_like_net();
         let plan = planned_net.plan(&[2, 6, 6]);
         let mut ws = Workspace::new();
+        let target = [1.0f32, 0.0];
         for step in 0..4 {
             let x = Tensor::from_vec(
                 vec![2, 6, 6],
@@ -921,26 +1013,54 @@ mod tests {
                     .map(|i| ((i + step * 72) as f32 * 0.21).cos())
                     .collect(),
             );
-            legacy_net.zero_grads();
-            let yl = legacy_net.forward(&x, true);
-            let (_, gl) = crate::loss::softmax_cross_entropy(&yl, &[1.0, 0.0]);
-            legacy_net.backward(&gl);
-            legacy_net.apply_gradients(0.05);
+            let mut gu = [0.0f32; 2];
+            unfused.nets.iter_mut().for_each(Network::zero_grads);
+            let yu = unfused.forward(&x, true);
+            loss::softmax_cross_entropy_into(&yu, &target, &mut gu);
+            unfused.backward(&gu);
+            unfused
+                .nets
+                .iter_mut()
+                .for_each(|n| n.apply_gradients(0.05));
 
+            let mut gp = [0.0f32; 2];
             planned_net.zero_grads();
-            let yp = planned_net
-                .forward_train_with(&plan, &mut ws, x.as_slice())
-                .to_vec();
-            let (_, gp) =
-                crate::loss::softmax_cross_entropy(&Tensor::from_vec(vec![2], yp), &[1.0, 0.0]);
-            planned_net.backward_with(&plan, &mut ws, gp.as_slice());
+            let yp = planned_net.forward_train_with(&plan, &mut ws, x.as_slice());
+            loss::softmax_cross_entropy_into(yp, &target, &mut gp);
+            planned_net.backward_with(&plan, &mut ws, &gp);
             planned_net.apply_gradients(0.05);
         }
-        let mut wl = Vec::new();
-        legacy_net.visit_params(&mut |w, _| wl.push(w.to_vec()));
+        let mut wu = Vec::new();
+        unfused.visit_params(&mut |w, _| wu.push(w.to_vec()));
         let mut wp = Vec::new();
         planned_net.visit_params(&mut |w, _| wp.push(w.to_vec()));
-        assert_eq!(wl, wp);
+        assert_eq!(wu, wp);
+    }
+
+    #[test]
+    #[should_panic(expected = "before forward_train")]
+    fn backward_after_executor_inference_panics() {
+        // An inference pass may leave conv's direct-kernel taps where
+        // backward reads the im2col matrix: refused, on every backend.
+        let mut net = paper_like_net();
+        let x = wavy_input(2 * 6 * 6, vec![2, 6, 6]);
+        let mut ex = Executor::new();
+        let _ = ex.forward_train(&mut net, &x);
+        let _ = ex.infer(&net, &x);
+        let _ = ex.backward(&mut net, &[0.5, -0.5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "before forward_train")]
+    fn backward_after_batched_inference_panics() {
+        let mut net = paper_like_net();
+        let plan = net.plan(&[2, 6, 6]);
+        let batch_plan = net.plan_batch(&[2, 6, 6], 2);
+        let x = wavy_input(2 * 6 * 6, vec![2, 6, 6]);
+        let mut ws = Workspace::new();
+        let _ = net.forward_train_with(&plan, &mut ws, x.as_slice());
+        let _ = net.forward_batch_with(&batch_plan, &mut ws, &[0.25; 2 * 2 * 6 * 6]);
+        let _ = net.backward_with(&plan, &mut ws, &[0.5, -0.5]);
     }
 
     #[test]
@@ -1138,9 +1258,8 @@ mod tests {
     #[test]
     fn gradcheck_fused_epilogues_against_finite_difference() {
         // Gradient-check the fused conv+relu and dense+sigmoid blocks: the
-        // analytic planned gradient must match central differences on the
-        // unfused (legacy, standalone-activation) forward — pinning that
-        // fusion changed neither forward values nor gradients.
+        // analytic planned gradient must match central differences of the
+        // planned inference loss.
         let mut net = Network::new();
         net.push(Conv2d::new(1, 2, 3, 1, 3));
         net.push(Relu::new());
@@ -1157,13 +1276,13 @@ mod tests {
         let y = net
             .forward_train_with(&plan, &mut ws, x.as_slice())
             .to_vec();
-        let (_, g) = crate::loss::softmax_cross_entropy(&Tensor::from_vec(vec![2], y), &target);
+        let (_, g) = loss::softmax_cross_entropy(&Tensor::from_vec(vec![2], y), &target);
         net.backward_with(&plan, &mut ws, g.as_slice());
 
         let mut analytic = Vec::new();
         net.visit_params(&mut |_, g| analytic.push(g.to_vec()));
 
-        // Finite differences through the legacy unfused forward.
+        // Finite differences through planned inference.
         let eps = 1e-2f32;
         let mut numeric: Vec<Vec<f32>> = Vec::new();
         let mut slot = 0usize;
@@ -1183,8 +1302,9 @@ mod tests {
                         }
                         s += 1;
                     });
-                    let logits = net.forward_inference(&x);
-                    let (l, _) = crate::loss::softmax_cross_entropy(&logits, &target);
+                    let logits = Executor::new().infer(&net, &x).to_vec();
+                    let (l, _) =
+                        loss::softmax_cross_entropy(&Tensor::from_vec(vec![2], logits), &target);
                     let mut s = 0usize;
                     net.visit_params(&mut |w, _| {
                         if s == slot {

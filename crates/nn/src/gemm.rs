@@ -695,13 +695,18 @@ mod avx2 {
                 _mm256_storeu_ps(cp.add((i + 3) * n + j + 8), c31);
                 j += 16;
             }
+            // Tail columns repeat the vector lanes' arithmetic exactly — an
+            // FMA chain over `p` starting from `C` — so a column's bits never
+            // depend on whether it lands in a full tile or the tail. Batched
+            // conv scoring (`n = batch·oh·ow`) relies on that to stay
+            // bit-identical to per-window scoring.
             while j < n {
                 for r in 0..4 {
-                    let mut acc = 0.0f32;
+                    let mut acc = *cp.add((i + r) * n + j);
                     for p in 0..k {
-                        acc += *ap.add((i + r) * k + p) * *bp.add(p * n + j);
+                        acc = (*ap.add((i + r) * k + p)).mul_add(*bp.add(p * n + j), acc);
                     }
-                    *cp.add((i + r) * n + j) += acc;
+                    *cp.add((i + r) * n + j) = acc;
                 }
                 j += 1;
             }
@@ -719,11 +724,11 @@ mod avx2 {
                 j += 8;
             }
             while j < n {
-                let mut acc = 0.0f32;
+                let mut acc = *cp.add(i * n + j);
                 for p in 0..k {
-                    acc += *ap.add(i * k + p) * *bp.add(p * n + j);
+                    acc = (*ap.add(i * k + p)).mul_add(*bp.add(p * n + j), acc);
                 }
-                *cp.add(i * n + j) += acc;
+                *cp.add(i * n + j) = acc;
                 j += 1;
             }
             i += 1;

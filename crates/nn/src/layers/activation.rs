@@ -6,31 +6,29 @@
 //! nonlinearity. Both report [`Layer::as_epilogue`] so an execution plan
 //! can fuse them into a preceding conv/dense GEMM tail.
 
-use super::{BackwardCtx, Epilogue, Layer, LegacyCache};
-#[cfg(test)]
-use crate::Tensor;
+use super::{BackwardCtx, Epilogue, Layer};
 
 /// Element-wise logistic sigmoid `σ(x) = 1 / (1 + e^{-x})`.
 ///
 /// # Examples
 ///
 /// ```
-/// use hotspot_nn::layers::{Layer, Sigmoid};
-/// use hotspot_nn::Tensor;
+/// use hotspot_nn::engine::Executor;
+/// use hotspot_nn::layers::Sigmoid;
+/// use hotspot_nn::{Network, Tensor};
 ///
-/// let mut s = Sigmoid::new();
-/// let y = s.forward(&Tensor::from_vec(vec![1], vec![0.0]), true);
-/// assert!((y.as_slice()[0] - 0.5).abs() < 1e-6);
+/// let mut net = Network::new();
+/// net.push(Sigmoid::new());
+/// let y = Executor::new().infer(&net, &Tensor::from_vec(vec![1], vec![0.0]))[0];
+/// assert!((y - 0.5).abs() < 1e-6);
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct Sigmoid {
-    cache: LegacyCache,
-}
+pub struct Sigmoid;
 
 impl Sigmoid {
     /// Creates a sigmoid activation.
     pub fn new() -> Self {
-        Sigmoid::default()
+        Sigmoid
     }
 }
 
@@ -80,10 +78,6 @@ impl Layer for Sigmoid {
         Some(Epilogue::Sigmoid)
     }
 
-    fn legacy_cache(&mut self) -> &mut LegacyCache {
-        &mut self.cache
-    }
-
     fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut [f32], &mut [f32])) {}
     fn zero_grads(&mut self) {}
 
@@ -98,14 +92,12 @@ impl Layer for Sigmoid {
 
 /// Element-wise hyperbolic tangent.
 #[derive(Debug, Clone, Default)]
-pub struct Tanh {
-    cache: LegacyCache,
-}
+pub struct Tanh;
 
 impl Tanh {
     /// Creates a tanh activation.
     pub fn new() -> Self {
-        Tanh::default()
+        Tanh
     }
 }
 
@@ -155,10 +147,6 @@ impl Layer for Tanh {
         Some(Epilogue::Tanh)
     }
 
-    fn legacy_cache(&mut self) -> &mut LegacyCache {
-        &mut self.cache
-    }
-
     fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut [f32], &mut [f32])) {}
     fn zero_grads(&mut self) {}
 
@@ -174,11 +162,15 @@ impl Layer for Tanh {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{infer, single, train};
+    use crate::Tensor;
 
     #[test]
     fn sigmoid_range_and_symmetry() {
-        let mut s = Sigmoid::new();
-        let y = s.forward(&Tensor::from_vec(vec![3], vec![-3.0, 0.0, 3.0]), true);
+        let y = infer(
+            &single(Sigmoid::new()),
+            &Tensor::from_vec(vec![3], vec![-3.0, 0.0, 3.0]),
+        );
         let v = y.as_slice();
         assert!(v.iter().all(|&x| (0.0..=1.0).contains(&x)));
         assert!((v[1] - 0.5).abs() < 1e-6);
@@ -188,9 +180,11 @@ mod tests {
     #[test]
     fn sigmoid_gradient_matches_finite_difference() {
         let x0 = 0.7f32;
-        let mut s = Sigmoid::new();
-        let _ = s.forward(&Tensor::from_vec(vec![1], vec![x0]), true);
-        let g = s.backward(&Tensor::from_vec(vec![1], vec![1.0]));
+        let (_, g) = train(
+            &mut single(Sigmoid::new()),
+            &Tensor::from_vec(vec![1], vec![x0]),
+            &[1.0],
+        );
         let eps = 1e-3f32;
         let f = |x: f32| 1.0 / (1.0 + (-x).exp());
         let fd = (f(x0 + eps) - f(x0 - eps)) / (2.0 * eps);
@@ -199,8 +193,10 @@ mod tests {
 
     #[test]
     fn tanh_is_odd_and_bounded() {
-        let mut t = Tanh::new();
-        let y = t.forward(&Tensor::from_vec(vec![3], vec![-2.0, 0.0, 2.0]), true);
+        let y = infer(
+            &single(Tanh::new()),
+            &Tensor::from_vec(vec![3], vec![-2.0, 0.0, 2.0]),
+        );
         let v = y.as_slice();
         assert!((v[1]).abs() < 1e-7);
         assert!((v[0] + v[2]).abs() < 1e-6, "tanh is odd");
@@ -210,9 +206,11 @@ mod tests {
     #[test]
     fn tanh_gradient_matches_finite_difference() {
         let x0 = -0.4f32;
-        let mut t = Tanh::new();
-        let _ = t.forward(&Tensor::from_vec(vec![1], vec![x0]), true);
-        let g = t.backward(&Tensor::from_vec(vec![1], vec![1.0]));
+        let (_, g) = train(
+            &mut single(Tanh::new()),
+            &Tensor::from_vec(vec![1], vec![x0]),
+            &[1.0],
+        );
         let eps = 1e-3f32;
         let fd = ((x0 + eps).tanh() - (x0 - eps).tanh()) / (2.0 * eps);
         assert!((g.as_slice()[0] - fd).abs() < 1e-4);
@@ -220,33 +218,25 @@ mod tests {
 
     #[test]
     fn shapes_preserved() {
-        let mut s = Sigmoid::new();
-        assert_eq!(
-            s.forward(&Tensor::zeros(vec![2, 3, 4]), false).shape(),
-            &[2, 3, 4]
-        );
-        assert_eq!(s.out_shape(&[5]), vec![5]);
-        let mut t = Tanh::new();
-        assert_eq!(t.forward(&Tensor::zeros(vec![7]), false).shape(), &[7]);
+        let y = infer(&single(Sigmoid::new()), &Tensor::zeros(vec![2, 3, 4]));
+        assert_eq!(y.shape(), &[2, 3, 4]);
+        assert_eq!(Sigmoid::new().out_shape(&[5]), vec![5]);
+        let y = infer(&single(Tanh::new()), &Tensor::zeros(vec![7]));
+        assert_eq!(y.shape(), &[7]);
     }
 
     #[test]
     fn epilogue_gradients_match_standalone_backward() {
-        let xs = [-2.0f32, -0.3, 0.0, 0.8, 2.5];
+        let x = Tensor::from_vec(vec![5], vec![-2.0f32, -0.3, 0.0, 0.8, 2.5]);
         let gs = [1.0f32, -2.0, 0.5, 3.0, -1.0];
-        // Sigmoid.
-        let mut s = Sigmoid::new();
-        let y = s.forward(&Tensor::from_vec(vec![5], xs.to_vec()), true);
-        let standalone = s.backward(&Tensor::from_vec(vec![5], gs.to_vec()));
-        let mut fused = gs.to_vec();
-        Epilogue::Sigmoid.grad_from_output(y.as_slice(), &mut fused);
-        assert_eq!(standalone.as_slice(), fused.as_slice());
-        // Tanh.
-        let mut t = Tanh::new();
-        let y = t.forward(&Tensor::from_vec(vec![5], xs.to_vec()), true);
-        let standalone = t.backward(&Tensor::from_vec(vec![5], gs.to_vec()));
-        let mut fused = gs.to_vec();
-        Epilogue::Tanh.grad_from_output(y.as_slice(), &mut fused);
-        assert_eq!(standalone.as_slice(), fused.as_slice());
+        for (mut net, ep) in [
+            (single(Sigmoid::new()), Epilogue::Sigmoid),
+            (single(Tanh::new()), Epilogue::Tanh),
+        ] {
+            let (y, standalone) = train(&mut net, &x, &gs);
+            let mut fused = gs.to_vec();
+            ep.grad_from_output(y.as_slice(), &mut fused);
+            assert_eq!(standalone.as_slice(), fused.as_slice());
+        }
     }
 }

@@ -15,7 +15,7 @@
 //! construction; across *backends* its outputs differ from the scalar
 //! oracle only in summation order (see [`crate::ulp`]).
 
-use super::{BackwardCtx, Epilogue, Layer, LegacyCache};
+use super::{BackwardCtx, Epilogue, Layer};
 #[cfg(test)]
 use crate::Tensor;
 use crate::{gemm, init};
@@ -50,11 +50,9 @@ pub const MAX_DIRECT_W: usize = 12;
 ///
 /// ```
 /// use hotspot_nn::layers::{Conv2d, Layer};
-/// use hotspot_nn::Tensor;
 ///
-/// let mut conv = Conv2d::new(3, 16, 3, 1, 42);
-/// let out = conv.forward(&Tensor::zeros(vec![3, 12, 12]), true);
-/// assert_eq!(out.shape(), &[16, 12, 12]); // "same" spatial size
+/// let conv = Conv2d::new(3, 16, 3, 1, 42);
+/// assert_eq!(conv.out_shape(&[3, 12, 12]), vec![16, 12, 12]); // "same" spatial size
 /// ```
 #[derive(Debug, Clone)]
 pub struct Conv2d {
@@ -66,7 +64,6 @@ pub struct Conv2d {
     bias: Vec<f32>,
     grad_weights: Vec<f32>,
     grad_bias: Vec<f32>,
-    cache: LegacyCache,
 }
 
 impl Conv2d {
@@ -91,7 +88,6 @@ impl Conv2d {
             bias: vec![0.0; out_c],
             grad_weights: vec![0.0; count],
             grad_bias: vec![0.0; out_c],
-            cache: LegacyCache::default(),
         }
     }
 
@@ -127,8 +123,8 @@ impl Conv2d {
     /// output position `(oy, ox)`, the input sample
     /// `x[ic][oy+ky-pad][ox+kx-pad]` (zero outside the image).
     ///
-    /// Writes into a caller-provided slice (a planned workspace region or
-    /// the legacy cache). Every element of `col` is written exactly once —
+    /// Writes into a caller-provided slice (a planned workspace region).
+    /// Every element of `col` is written exactly once —
     /// either a copy from `x` or an explicit padding zero — so no upfront
     /// full-buffer memset is needed and stale contents from a previous
     /// window never leak into the padding.
@@ -786,10 +782,6 @@ impl Layer for Conv2d {
         true
     }
 
-    fn legacy_cache(&mut self) -> &mut LegacyCache {
-        &mut self.cache
-    }
-
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut [f32], &mut [f32])) {
         visitor(&mut self.weights, &mut self.grad_weights);
         visitor(&mut self.bias, &mut self.grad_bias);
@@ -812,6 +804,8 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Executor;
+    use crate::testutil::{infer, single};
     use rand::Rng;
 
     #[test]
@@ -825,22 +819,24 @@ mod tests {
             call += 1;
         });
         let x = Tensor::from_vec(vec![1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]);
-        let y = conv.forward(&x, false);
+        let y = infer(&single(conv), &x);
         assert_eq!(y.as_slice(), x.as_slice());
     }
 
     #[test]
     fn same_padding_preserves_shape() {
-        let mut conv = Conv2d::new(4, 8, 3, 1, 1);
-        let y = conv.forward(&Tensor::zeros(vec![4, 12, 12]), false);
-        assert_eq!(y.shape(), &[8, 12, 12]);
+        let conv = Conv2d::new(4, 8, 3, 1, 1);
         assert_eq!(conv.out_shape(&[4, 12, 12]), vec![8, 12, 12]);
+        let y = infer(&single(conv), &Tensor::zeros(vec![4, 12, 12]));
+        assert_eq!(y.shape(), &[8, 12, 12]);
     }
 
     #[test]
     fn valid_convolution_shrinks() {
-        let mut conv = Conv2d::new(1, 1, 3, 0, 1);
-        let y = conv.forward(&Tensor::zeros(vec![1, 5, 7]), false);
+        let y = infer(
+            &single(Conv2d::new(1, 1, 3, 0, 1)),
+            &Tensor::zeros(vec![1, 5, 7]),
+        );
         assert_eq!(y.shape(), &[1, 3, 5]);
     }
 
@@ -857,7 +853,7 @@ mod tests {
             }
         });
         let x = Tensor::from_vec(vec![1, 3, 3], vec![1.0; 9]);
-        let y = conv.forward(&x, false);
+        let y = infer(&single(conv), &x);
         assert_eq!(y.at3(0, 1, 1), 9.0); // full neighbourhood
         assert_eq!(y.at3(0, 0, 0), 4.0); // corner: 2x2 in bounds
         assert_eq!(y.at3(0, 0, 1), 6.0); // edge: 2x3 in bounds
@@ -880,7 +876,7 @@ mod tests {
             }
             call += 1;
         });
-        let y = conv.forward(&Tensor::zeros(vec![1, 2, 2]), false);
+        let y = infer(&single(conv), &Tensor::zeros(vec![1, 2, 2]));
         assert_eq!(y.at3(0, 0, 0), 1.0);
         assert_eq!(y.at3(1, 1, 1), -2.0);
     }
@@ -901,10 +897,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "backward before forward")]
+    #[should_panic(expected = "before forward_train")]
     fn backward_requires_forward() {
-        let mut conv = Conv2d::new(1, 1, 3, 1, 0);
-        let _ = conv.backward(&Tensor::zeros(vec![1, 4, 4]));
+        let mut net = single(Conv2d::new(1, 1, 3, 1, 0));
+        let _ = Executor::new().backward(&mut net, &[0.0; 16]);
     }
 
     #[test]
@@ -925,13 +921,13 @@ mod tests {
             (2, 2, 5, 2, 9, 6),
             (1, 4, 5, 0, 8, 11),
         ] {
-            let mut conv = Conv2d::new(in_c, out_c, k, pad, 21);
+            let conv = Conv2d::new(in_c, out_c, k, pad, 21);
             let data: Vec<f32> = (0..in_c * h * w)
                 .map(|_| rng.gen_range(-2.0f32..2.0))
                 .collect();
             let x = Tensor::from_vec(vec![in_c, h, w], data);
             let naive = conv.forward_naive(&x);
-            let fast = conv.forward(&x, false);
+            let fast = infer(&single(conv), &x);
             assert_eq!(fast.shape(), naive.shape());
             for (i, (a, b)) in fast.as_slice().iter().zip(naive.as_slice()).enumerate() {
                 assert!(
@@ -959,13 +955,13 @@ mod tests {
             h in 5usize..11,
             w in 5usize..11,
         ) {
-            let mut conv = Conv2d::new(in_c, out_c, k, pad, seed);
+            let conv = Conv2d::new(in_c, out_c, k, pad, seed);
             let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
             let data: Vec<f32> =
                 (0..in_c * h * w).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
             let x = Tensor::from_vec(vec![in_c, h, w], data);
             let naive = conv.forward_naive(&x);
-            let fast = conv.forward(&x, false);
+            let fast = infer(&single(conv), &x);
             proptest::prop_assert_eq!(fast.shape(), naive.shape());
             for (a, b) in fast.as_slice().iter().zip(naive.as_slice()) {
                 proptest::prop_assert!(
@@ -975,42 +971,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn forward_inference_matches_forward_bitwise_and_leaves_scratch_alone() {
-        let mut conv = Conv2d::new(2, 3, 3, 1, 4);
-        let mut rng = StdRng::seed_from_u64(7);
-        let data: Vec<f32> = (0..2 * 6 * 6)
-            .map(|_| rng.gen_range(-1.0f32..1.0))
-            .collect();
-        let x = Tensor::from_vec(vec![2, 6, 6], data);
-        let reference = conv.forward(&x, false);
-        let cap = conv.legacy_cache().scratch_capacity();
-        let inferred = conv.forward_inference(&x);
-        assert_eq!(inferred.as_slice(), reference.as_slice());
-        assert_eq!(
-            conv.legacy_cache().scratch_capacity(),
-            cap,
-            "inference must not touch scratch"
-        );
-    }
-
-    #[test]
-    fn scratch_is_reused_across_forwards() {
-        let mut conv = Conv2d::new(2, 3, 3, 1, 4);
-        let x = Tensor::zeros(vec![2, 6, 6]);
-        let _ = conv.forward(&x, true);
-        let cap = conv.legacy_cache().scratch_capacity();
-        for _ in 0..3 {
-            let _ = conv.forward(&x, true);
-            let _ = conv.backward(&Tensor::zeros(vec![3, 6, 6]));
-        }
-        assert_eq!(
-            conv.legacy_cache().scratch_capacity(),
-            cap,
-            "im2col scratch must be reused"
-        );
     }
 
     #[test]
@@ -1127,7 +1087,7 @@ mod tests {
             &mut [],
             Some(Epilogue::Relu),
         );
-        let unfused = Relu::new().forward_inference(&conv.forward_inference(&x));
+        let unfused = infer(&single(Relu::new()), &infer(&single(conv), &x));
         assert_eq!(y_fused.as_slice(), unfused.as_slice());
     }
 }

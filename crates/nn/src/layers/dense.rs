@@ -1,8 +1,6 @@
 //! Fully-connected layer.
 
-use super::{BackwardCtx, Epilogue, Layer, LegacyCache};
-#[cfg(test)]
-use crate::Tensor;
+use super::{BackwardCtx, Epilogue, Layer};
 use crate::{gemm, init};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -20,11 +18,10 @@ use rand::SeedableRng;
 ///
 /// ```
 /// use hotspot_nn::layers::{Dense, Layer};
-/// use hotspot_nn::Tensor;
 ///
-/// let mut fc = Dense::new(288, 250, 7);
-/// let y = fc.forward(&Tensor::zeros(vec![288]), true);
-/// assert_eq!(y.shape(), &[250]);
+/// let fc = Dense::new(288, 250, 7);
+/// assert_eq!(fc.out_shape(&[288]), vec![250]);
+/// assert_eq!(fc.parameter_count(), 288 * 250 + 250);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Dense {
@@ -34,7 +31,6 @@ pub struct Dense {
     bias: Vec<f32>,
     grad_weights: Vec<f32>,
     grad_bias: Vec<f32>,
-    cache: LegacyCache,
 }
 
 impl Dense {
@@ -53,7 +49,6 @@ impl Dense {
             bias: vec![0.0; out_features],
             grad_weights: vec![0.0; in_features * out_features],
             grad_bias: vec![0.0; out_features],
-            cache: LegacyCache::default(),
         }
     }
 
@@ -161,10 +156,6 @@ impl Layer for Dense {
         true
     }
 
-    fn legacy_cache(&mut self) -> &mut LegacyCache {
-        &mut self.cache
-    }
-
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut [f32], &mut [f32])) {
         visitor(&mut self.weights, &mut self.grad_weights);
         visitor(&mut self.bias, &mut self.grad_bias);
@@ -187,8 +178,10 @@ impl Layer for Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{infer, single, train};
+    use crate::{Network, Tensor};
 
-    fn fixed_dense() -> Dense {
+    fn fixed_dense() -> Network {
         // 2 -> 2 with W = [[1, 2], [3, 4]], b = [10, 20].
         let mut d = Dense::new(2, 2, 0);
         let mut call = 0;
@@ -200,21 +193,23 @@ mod tests {
             }
             call += 1;
         });
-        d
+        single(d)
     }
 
     #[test]
     fn forward_matches_hand_computation() {
-        let mut d = fixed_dense();
-        let y = d.forward(&Tensor::from_vec(vec![2], vec![1.0, 1.0]), false);
+        let y = infer(&fixed_dense(), &Tensor::from_vec(vec![2], vec![1.0, 1.0]));
         assert_eq!(y.as_slice(), &[13.0, 27.0]);
     }
 
     #[test]
     fn backward_gradients_match_hand_computation() {
         let mut d = fixed_dense();
-        let _ = d.forward(&Tensor::from_vec(vec![2], vec![5.0, -1.0]), true);
-        let gin = d.backward(&Tensor::from_vec(vec![2], vec![1.0, 2.0]));
+        let (_, gin) = train(
+            &mut d,
+            &Tensor::from_vec(vec![2], vec![5.0, -1.0]),
+            &[1.0, 2.0],
+        );
         // dX = Wᵀ·g = [1*1+3*2, 2*1+4*2] = [7, 10].
         assert_eq!(gin.as_slice(), &[7.0, 10.0]);
         let mut seen = Vec::new();
@@ -228,8 +223,11 @@ mod tests {
     fn gradients_accumulate_until_zeroed() {
         let mut d = fixed_dense();
         for _ in 0..3 {
-            let _ = d.forward(&Tensor::from_vec(vec![2], vec![1.0, 0.0]), true);
-            let _ = d.backward(&Tensor::from_vec(vec![2], vec![1.0, 0.0]));
+            let _ = train(
+                &mut d,
+                &Tensor::from_vec(vec![2], vec![1.0, 0.0]),
+                &[1.0, 0.0],
+            );
         }
         let mut gb = Vec::new();
         d.visit_params(&mut |_, g| gb.push(g.to_vec()));
@@ -242,16 +240,14 @@ mod tests {
 
     #[test]
     fn accepts_flattened_rank3_input() {
-        let mut d = Dense::new(12, 3, 1);
-        let y = d.forward(&Tensor::zeros(vec![3, 2, 2]), false);
+        let y = infer(&single(Dense::new(12, 3, 1)), &Tensor::zeros(vec![3, 2, 2]));
         assert_eq!(y.shape(), &[3]);
     }
 
     #[test]
     #[should_panic(expected = "dense expected")]
     fn rejects_wrong_input_len() {
-        let mut d = Dense::new(4, 2, 0);
-        let _ = d.forward(&Tensor::zeros(vec![5]), false);
+        let _ = infer(&single(Dense::new(4, 2, 0)), &Tensor::zeros(vec![5]));
     }
 
     #[test]
@@ -296,7 +292,7 @@ mod tests {
             &mut [],
             Some(Epilogue::Sigmoid),
         );
-        let unfused = Sigmoid::new().forward_inference(&d.forward_inference(&x));
+        let unfused = infer(&single(Sigmoid::new()), &infer(&single(d), &x));
         assert_eq!(y_fused.as_slice(), unfused.as_slice());
     }
 }

@@ -1,8 +1,6 @@
 //! Inverted dropout.
 
-use super::{BackwardCtx, Epilogue, Layer, LegacyCache};
-#[cfg(test)]
-use crate::Tensor;
+use super::{BackwardCtx, Epilogue, Layer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -13,26 +11,27 @@ use rand::{Rng, SeedableRng};
 ///
 /// The mask backward needs lives in the caller-provided f32 scratch
 /// ([`Layer::scratch_len`] equals the element count). Masks are drawn from
-/// the layer's own seeded RNG stream in strict element order, so planned
-/// and legacy training paths consume the stream identically — which is
-/// what keeps checkpoint/resume bit-identical.
+/// the layer's own seeded RNG stream in strict element order, one draw
+/// per element per training forward — which is what keeps
+/// checkpoint/resume bit-identical.
 ///
 /// # Examples
 ///
 /// ```
-/// use hotspot_nn::layers::{Dropout, Layer};
-/// use hotspot_nn::Tensor;
+/// use hotspot_nn::engine::Executor;
+/// use hotspot_nn::layers::Dropout;
+/// use hotspot_nn::{Network, Tensor};
 ///
-/// let mut drop = Dropout::new(0.5, 1);
+/// let mut net = Network::new();
+/// net.push(Dropout::new(0.5, 1));
 /// let x = Tensor::from_vec(vec![4], vec![1.0; 4]);
 /// // Inference passes values through untouched.
-/// assert_eq!(drop.forward(&x, false).as_slice(), &[1.0; 4]);
+/// assert_eq!(Executor::new().infer(&net, &x), &[1.0; 4]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Dropout {
     p: f32,
     rng: StdRng,
-    cache: LegacyCache,
 }
 
 impl Dropout {
@@ -50,7 +49,6 @@ impl Dropout {
         Dropout {
             p,
             rng: StdRng::seed_from_u64(seed),
-            cache: LegacyCache::default(),
         }
     }
 
@@ -71,8 +69,27 @@ impl Layer for Dropout {
         in_shape.iter().product()
     }
 
+    fn scratch_infer_len(&self, _in_shape: &[usize]) -> usize {
+        // The mask is backward-only: inference writes no scratch.
+        0
+    }
+
     fn forward_into(
         &self,
+        x: &[f32],
+        _in_shape: &[usize],
+        y: &mut [f32],
+        _scratch: &mut [f32],
+        _idx: &mut [usize],
+        _epilogue: Option<Epilogue>,
+    ) {
+        // Inverted dropout is the identity at inference time, and no RNG
+        // is drawn — the training stream is left untouched.
+        y.copy_from_slice(x);
+    }
+
+    fn forward_train_into(
+        &mut self,
         x: &[f32],
         _in_shape: &[usize],
         y: &mut [f32],
@@ -80,30 +97,16 @@ impl Layer for Dropout {
         _idx: &mut [usize],
         _epilogue: Option<Epilogue>,
     ) {
-        // Inverted dropout is the identity at inference time, and no RNG
-        // is drawn — the training stream is left untouched. The mask is
-        // still recorded (all ones) so a backward after an inference-mode
-        // forward passes gradients through unchanged.
-        scratch[..y.len()].fill(1.0);
-        y.copy_from_slice(x);
-    }
-
-    fn forward_train_into(
-        &mut self,
-        x: &[f32],
-        in_shape: &[usize],
-        y: &mut [f32],
-        scratch: &mut [f32],
-        idx: &mut [usize],
-        epilogue: Option<Epilogue>,
-    ) {
+        let mask = &mut scratch[..y.len()];
         if self.p == 0.0 {
-            self.forward_into(x, in_shape, y, scratch, idx, epilogue);
+            // Nothing is dropped and no RNG is drawn; backward still
+            // reads the (all-ones) mask.
+            mask.fill(1.0);
+            y.copy_from_slice(x);
             return;
         }
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
-        let mask = &mut scratch[..y.len()];
         // Strict element order: one draw per element, exactly as the
         // historical per-tensor implementation consumed the stream.
         for m in mask.iter_mut() {
@@ -123,10 +126,6 @@ impl Layer for Dropout {
         for ((gi, &g), &m) in grad_in.iter_mut().zip(ctx.grad).zip(mask) {
             *gi = g * m;
         }
-    }
-
-    fn legacy_cache(&mut self) -> &mut LegacyCache {
-        &mut self.cache
     }
 
     fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut [f32], &mut [f32])) {}
@@ -153,51 +152,52 @@ impl Layer for Dropout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Executor;
+    use crate::testutil::{infer, single, train};
+    use crate::Tensor;
+
+    /// One training forward through a fresh executor.
+    fn forward_train(net: &mut crate::Network, x: &Tensor) -> Vec<f32> {
+        Executor::new().forward_train(net, x).to_vec()
+    }
 
     #[test]
     fn inference_is_identity() {
-        let mut d = Dropout::new(0.9, 0);
         let x = Tensor::from_vec(vec![8], vec![2.0; 8]);
-        assert_eq!(d.forward(&x, false).as_slice(), x.as_slice());
+        assert_eq!(infer(&single(Dropout::new(0.9, 0)), &x), x);
     }
 
     #[test]
     fn training_zeroes_roughly_p_fraction() {
-        let mut d = Dropout::new(0.5, 42);
         let x = Tensor::from_vec(vec![10_000], vec![1.0; 10_000]);
-        let y = d.forward(&x, true);
-        let zeros = y.as_slice().iter().filter(|&&v| v == 0.0).count();
+        let y = forward_train(&mut single(Dropout::new(0.5, 42)), &x);
+        let zeros = y.iter().filter(|&&v| v == 0.0).count();
         assert!((4_000..6_000).contains(&zeros), "{zeros} zeros");
         // Survivors are scaled by 2.
-        assert!(y
-            .as_slice()
-            .iter()
-            .all(|&v| v == 0.0 || (v - 2.0).abs() < 1e-6));
+        assert!(y.iter().all(|&v| v == 0.0 || (v - 2.0).abs() < 1e-6));
     }
 
     #[test]
     fn expectation_is_preserved() {
-        let mut d = Dropout::new(0.3, 7);
         let x = Tensor::from_vec(vec![50_000], vec![1.0; 50_000]);
-        let y = d.forward(&x, true);
-        let mean: f64 = y.as_slice().iter().map(|&v| v as f64).sum::<f64>() / 50_000.0;
+        let y = forward_train(&mut single(Dropout::new(0.3, 7)), &x);
+        let mean: f64 = y.iter().map(|&v| v as f64).sum::<f64>() / 50_000.0;
         assert!((mean - 1.0).abs() < 0.02, "mean {mean}");
     }
 
     #[test]
     fn backward_uses_same_mask() {
-        let mut d = Dropout::new(0.5, 3);
         let x = Tensor::from_vec(vec![100], vec![1.0; 100]);
-        let y = d.forward(&x, true);
-        let g = d.backward(&Tensor::from_vec(vec![100], vec![1.0; 100]));
+        let (y, g) = train(&mut single(Dropout::new(0.5, 3)), &x, &[1.0; 100]);
         assert_eq!(y.as_slice(), g.as_slice());
     }
 
     #[test]
     fn p_zero_is_identity_even_in_training() {
-        let mut d = Dropout::new(0.0, 0);
         let x = Tensor::from_vec(vec![4], vec![3.0; 4]);
-        assert_eq!(d.forward(&x, true).as_slice(), x.as_slice());
+        let (y, g) = train(&mut single(Dropout::new(0.0, 0)), &x, &[1.0; 4]);
+        assert_eq!(y, x);
+        assert_eq!(g.as_slice(), &[1.0; 4]);
     }
 
     #[test]
@@ -207,19 +207,22 @@ mod tests {
     }
 
     #[test]
-    fn planned_train_draws_match_legacy_stream() {
+    fn planned_train_draws_match_layer_stream() {
         // Two layers seeded alike must produce the same masks whether
-        // driven through the legacy `forward` or `forward_train_into`.
-        let mut a = Dropout::new(0.5, 77);
+        // driven through the executor or `forward_train_into` directly.
+        let mut net = single(Dropout::new(0.5, 77));
         let mut b = Dropout::new(0.5, 77);
         let x: Vec<f32> = (0..64).map(|i| i as f32 * 0.1).collect();
+        let mut ex = Executor::new();
         for _ in 0..3 {
-            let ya = a.forward(&Tensor::from_vec(vec![64], x.clone()), true);
+            let ya = ex
+                .forward_train(&mut net, &Tensor::from_vec(vec![64], x.clone()))
+                .to_vec();
             let mut yb = vec![0.0f32; 64];
             let mut scratch = vec![0.0f32; 64];
             b.forward_train_into(&x, &[64], &mut yb, &mut scratch, &mut [], None);
-            assert_eq!(ya.as_slice(), yb.as_slice());
+            assert_eq!(ya, yb);
         }
-        assert_eq!(a.rng_state(), b.rng_state());
+        assert_eq!(net.rng_states(), vec![b.rng_state().unwrap()]);
     }
 }

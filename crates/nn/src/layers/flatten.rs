@@ -1,8 +1,6 @@
 //! Shape flattening between convolutional and dense stages.
 
-use super::{BackwardCtx, Epilogue, Layer, LegacyCache};
-#[cfg(test)]
-use crate::Tensor;
+use super::{BackwardCtx, Epilogue, Layer};
 
 /// Flattens any input tensor to rank 1; backward restores the shape.
 ///
@@ -10,21 +8,16 @@ use crate::Tensor;
 ///
 /// ```
 /// use hotspot_nn::layers::{Flatten, Layer};
-/// use hotspot_nn::Tensor;
 ///
-/// let mut f = Flatten::new();
-/// let y = f.forward(&Tensor::zeros(vec![32, 3, 3]), true);
-/// assert_eq!(y.shape(), &[288]);
+/// assert_eq!(Flatten::new().out_shape(&[32, 3, 3]), vec![288]);
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct Flatten {
-    cache: LegacyCache,
-}
+pub struct Flatten;
 
 impl Flatten {
     /// Creates a flatten layer.
     pub fn new() -> Self {
-        Flatten::default()
+        Flatten
     }
 }
 
@@ -64,10 +57,6 @@ impl Layer for Flatten {
         grad_in.copy_from_slice(ctx.grad);
     }
 
-    fn legacy_cache(&mut self) -> &mut LegacyCache {
-        &mut self.cache
-    }
-
     fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut [f32], &mut [f32])) {}
 
     fn zero_grads(&mut self) {}
@@ -84,22 +73,21 @@ impl Layer for Flatten {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{infer, single, train};
+    use crate::Tensor;
 
     #[test]
     fn roundtrip_restores_shape() {
-        let mut f = Flatten::new();
         let x = Tensor::from_vec(vec![2, 2, 3], (0..12).map(|v| v as f32).collect());
-        let y = f.forward(&x, true);
+        let (y, g) = train(&mut single(Flatten::new()), &x, x.as_slice());
         assert_eq!(y.shape(), &[12]);
-        let g = f.backward(&y);
         assert_eq!(g.shape(), &[2, 2, 3]);
         assert_eq!(g.as_slice(), x.as_slice());
     }
 
     #[test]
     fn rank1_passthrough() {
-        let mut f = Flatten::new();
         let x = Tensor::from_vec(vec![5], vec![1.0; 5]);
-        assert_eq!(f.forward(&x, false).shape(), &[5]);
+        assert_eq!(infer(&single(Flatten::new()), &x).shape(), &[5]);
     }
 }

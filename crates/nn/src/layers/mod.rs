@@ -5,18 +5,15 @@
 //! [`Layer::idx_len`] report workspace requirements, and
 //! [`Layer::forward_into`] / [`Layer::backward_into`] write into
 //! caller-provided slices so an execution plan ([`crate::engine`]) can run
-//! a whole network without a single allocation. The classic allocating
-//! [`Layer::forward`] / [`Layer::backward`] / [`Layer::forward_inference`]
-//! API is provided as thin default-method wrappers over that contract, so
-//! both paths share one numeric implementation and stay bit-identical by
-//! construction.
+//! a whole network without a single allocation. That contract is the only
+//! way a layer runs: networks execute through [`crate::engine::Executor`]
+//! (or the [`crate::Network`] `*_with` entry points beneath it).
 //!
 //! Parameter/gradient pairs are exposed through [`Layer::visit_params`],
 //! which the optimiser and the serialiser both use — layers stay ignorant
 //! of the update rule.
 
 mod activation;
-mod avgpool;
 mod conv;
 mod dense;
 mod dropout;
@@ -25,7 +22,6 @@ mod pool;
 mod relu;
 
 pub use activation::{Sigmoid, Tanh};
-pub use avgpool::AvgPool2;
 pub use conv::Conv2d;
 pub use dense::Dense;
 pub use dropout::Dropout;
@@ -34,12 +30,11 @@ pub use pool::MaxPool2;
 pub use relu::Relu;
 
 pub use crate::gemm::Epilogue;
-use crate::Tensor;
 use std::fmt;
 
 /// Everything a layer's `backward_into` may need, borrowed from the
-/// buffers its matching forward pass wrote (either a planned
-/// [`crate::engine::Workspace`] arena or the layer's own [`LegacyCache`]).
+/// buffers its matching training forward pass wrote in a planned
+/// [`crate::engine::Workspace`] arena.
 ///
 /// Aliasing rules: `x` and `y` come from the activation arena (shared
 /// borrows), `scratch` is the layer's private forward scratch region
@@ -61,40 +56,14 @@ pub struct BackwardCtx<'a> {
     pub idx: &'a [usize],
 }
 
-/// Buffers backing the allocating compatibility API (`forward` /
-/// `backward`): one cached copy of the last forward call's input, output,
-/// and scratch, reused across calls so steady-state training does no
-/// per-step allocation. The planned path ([`crate::engine`]) bypasses this
-/// entirely and uses a caller-owned workspace instead.
-#[derive(Debug, Clone, Default)]
-pub struct LegacyCache {
-    in_shape: Vec<usize>,
-    x: Vec<f32>,
-    y: Vec<f32>,
-    scratch: Vec<f32>,
-    idx: Vec<usize>,
-    /// Whether a forward pass has populated the cache and not yet been
-    /// consumed by `backward`.
-    primed: bool,
-}
-
-impl LegacyCache {
-    /// Capacity of the f32 scratch buffer — exposed so tests can pin the
-    /// no-realloc steady-state contract.
-    pub fn scratch_capacity(&self) -> usize {
-        self.scratch.capacity()
-    }
-}
-
 /// A differentiable network layer.
 ///
-/// The required surface is the planned slice contract (`out_shape`,
-/// `forward_into`, `backward_into`, plus workspace sizing); the stateful
-/// tensor API (`forward` / `backward` / `forward_inference`) has default
-/// implementations layered on top of it. Layers must be [`Send`] so
-/// network replicas can run on worker threads ([`crate::parallel`]) and
-/// [`Sync`] so a single network can serve concurrent inference calls
-/// through caller-owned workspaces.
+/// The surface is the planned slice contract (`out_shape`,
+/// `forward_into`, `backward_into`, plus workspace sizing); layers own no
+/// activation buffers, only parameters, gradients and RNG streams. Layers
+/// must be [`Send`] so network replicas can run on worker threads
+/// ([`crate::parallel`]) and [`Sync`] so a single network can serve
+/// concurrent inference calls through caller-owned workspaces.
 pub trait Layer: fmt::Debug + Send + Sync {
     /// Output shape for `in_shape`, validating the input shape with the
     /// same panics the forward pass would raise. Used by execution
@@ -137,9 +106,10 @@ pub trait Layer: fmt::Debug + Send + Sync {
     /// ([`crate::gemm::gemm_nn_fused`]); for every other layer the planner
     /// never passes `Some`.
     ///
-    /// Must be **bit-identical** to the allocating `forward(input, false)`
-    /// path: same arithmetic in the same order, differing only in where
-    /// results land.
+    /// With `epilogue = Some(ep)` the result must be **bit-identical** to
+    /// running this layer unfused and then the standalone activation: the
+    /// same arithmetic in the same order, differing only in where results
+    /// land.
     ///
     /// # Panics
     ///
@@ -255,133 +225,6 @@ pub trait Layer: fmt::Debug + Send + Sync {
         None
     }
 
-    /// The buffers backing the allocating compatibility API. Every layer
-    /// owns one [`LegacyCache`] field and returns it here.
-    fn legacy_cache(&mut self) -> &mut LegacyCache;
-
-    /// Computes the layer output (allocating compatibility API). `train`
-    /// enables training-only behaviour (dropout masks); inference should
-    /// pass `false`. A thin wrapper over [`Layer::forward_into`] /
-    /// [`Layer::forward_train_into`] using the layer-owned cache, whose
-    /// buffers are reused across calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input` has an incompatible shape.
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let out_shape = self.out_shape(input.shape());
-        let out_len: usize = out_shape.iter().product();
-        let scratch_len = self.scratch_len(input.shape());
-        let idx_len = self.idx_len(input.shape());
-        let mut c = std::mem::take(self.legacy_cache());
-        c.in_shape.clear();
-        c.in_shape.extend_from_slice(input.shape());
-        c.x.clear();
-        c.x.extend_from_slice(input.as_slice());
-        c.y.clear();
-        c.y.resize(out_len, 0.0);
-        c.scratch.clear();
-        c.scratch.resize(scratch_len, 0.0);
-        c.idx.clear();
-        c.idx.resize(idx_len, 0);
-        if train {
-            self.forward_train_into(
-                &c.x,
-                &c.in_shape,
-                &mut c.y,
-                &mut c.scratch,
-                &mut c.idx,
-                None,
-            );
-        } else {
-            self.forward_into(
-                &c.x,
-                &c.in_shape,
-                &mut c.y,
-                &mut c.scratch,
-                &mut c.idx,
-                None,
-            );
-        }
-        c.primed = true;
-        let out = Tensor::from_vec(out_shape, c.y.clone());
-        *self.legacy_cache() = c;
-        out
-    }
-
-    /// Computes the layer output in inference mode without mutating any
-    /// layer state (no backward caches, no scratch reuse, no RNG draws):
-    /// a thin wrapper over [`Layer::forward_into`] with per-call local
-    /// buffers.
-    ///
-    /// Bit-identical to `forward(input, false)` by construction — both
-    /// run the same `forward_into`. This is what lets many threads share
-    /// one network during batch scoring instead of cloning per-worker
-    /// replicas.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input` has an incompatible shape.
-    fn forward_inference(&self, input: &Tensor) -> Tensor {
-        let out_shape = self.out_shape(input.shape());
-        let out_len: usize = out_shape.iter().product();
-        let mut y = vec![0.0f32; out_len];
-        let mut scratch = vec![0.0f32; self.scratch_len(input.shape())];
-        let mut idx = vec![0usize; self.idx_len(input.shape())];
-        self.forward_into(
-            input.as_slice(),
-            input.shape(),
-            &mut y,
-            &mut scratch,
-            &mut idx,
-            None,
-        );
-        Tensor::from_vec(out_shape, y)
-    }
-
-    /// Propagates `grad` (∂loss/∂output) backwards, accumulating
-    /// parameter gradients, and returns ∂loss/∂input (allocating
-    /// compatibility API over [`Layer::backward_into`]). Consumes the
-    /// cached forward state: a second `backward` without a fresh
-    /// `forward` panics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before `forward` or with a mismatched shape.
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let mut c = std::mem::take(self.legacy_cache());
-        if !c.primed {
-            // Restore the (unprimed) cache so the layer stays usable, then
-            // report with the layer's name, e.g. "conv backward before
-            // forward".
-            let name = self.name();
-            *self.legacy_cache() = c;
-            panic!("{name} backward before forward");
-        }
-        assert_eq!(
-            grad.len(),
-            c.y.len(),
-            "{} backward before forward or shape mismatch",
-            self.name()
-        );
-        let mut grad_in = vec![0.0f32; c.x.len()];
-        self.backward_into(
-            BackwardCtx {
-                x: &c.x,
-                in_shape: &c.in_shape,
-                y: &c.y,
-                grad: grad.as_slice(),
-                scratch: &mut c.scratch,
-                idx: &c.idx,
-            },
-            &mut grad_in,
-        );
-        let shape = c.in_shape.clone();
-        c.primed = false;
-        *self.legacy_cache() = c;
-        Tensor::from_vec(shape, grad_in)
-    }
-
     /// Visits every (parameters, gradients) slice pair of the layer.
     /// Parameter-free layers do nothing.
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut [f32], &mut [f32]));
@@ -393,7 +236,7 @@ pub trait Layer: fmt::Debug + Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Clones the layer behind the trait object (parameters, gradients and
-    /// caches included) — the basis of [`crate::Network`]'s `Clone`, which
+    /// RNG state included) — the basis of [`crate::Network`]'s `Clone`, which
     /// parallel training uses to give each worker its own replica.
     fn boxed_clone(&self) -> Box<dyn Layer>;
 

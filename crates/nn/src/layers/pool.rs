@@ -1,8 +1,6 @@
 //! 2×2 max pooling.
 
-use super::{BackwardCtx, Epilogue, Layer, LegacyCache};
-#[cfg(test)]
-use crate::Tensor;
+use super::{BackwardCtx, Epilogue, Layer};
 
 /// 2×2 max pooling with stride 2 on CHW tensors (the paper's pooling
 /// configuration, Table 1).
@@ -15,23 +13,22 @@ use crate::Tensor;
 /// # Examples
 ///
 /// ```
-/// use hotspot_nn::layers::{Layer, MaxPool2};
-/// use hotspot_nn::Tensor;
+/// use hotspot_nn::engine::Executor;
+/// use hotspot_nn::layers::MaxPool2;
+/// use hotspot_nn::{Network, Tensor};
 ///
-/// let mut pool = MaxPool2::new();
+/// let mut net = Network::new();
+/// net.push(MaxPool2::new());
 /// let x = Tensor::from_vec(vec![1, 2, 2], vec![1.0, 5.0, 3.0, 2.0]);
-/// let y = pool.forward(&x, true);
-/// assert_eq!(y.as_slice(), &[5.0]);
+/// assert_eq!(Executor::new().infer(&net, &x), &[5.0]);
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct MaxPool2 {
-    cache: LegacyCache,
-}
+pub struct MaxPool2;
 
 impl MaxPool2 {
     /// Creates a 2×2/stride-2 max-pooling layer.
     pub fn new() -> Self {
-        MaxPool2::default()
+        MaxPool2
     }
 
     fn check_input(in_shape: &[usize]) -> (usize, usize, usize) {
@@ -151,10 +148,6 @@ impl Layer for MaxPool2 {
         }
     }
 
-    fn legacy_cache(&mut self) -> &mut LegacyCache {
-        &mut self.cache
-    }
-
     fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut [f32], &mut [f32])) {}
 
     fn zero_grads(&mut self) {}
@@ -217,10 +210,11 @@ mod simd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{infer, single, train};
+    use crate::Tensor;
 
     #[test]
     fn picks_window_maxima() {
-        let mut pool = MaxPool2::new();
         let x = Tensor::from_vec(
             vec![1, 4, 4],
             vec![
@@ -230,44 +224,39 @@ mod tests {
                 13.0, 14.0, 15.0, 16.0,
             ],
         );
-        let y = pool.forward(&x, true);
+        let y = infer(&single(MaxPool2::new()), &x);
         assert_eq!(y.shape(), &[1, 2, 2]);
         assert_eq!(y.as_slice(), &[6.0, 8.0, 14.0, 16.0]);
     }
 
     #[test]
     fn backward_routes_to_argmax() {
-        let mut pool = MaxPool2::new();
         let x = Tensor::from_vec(vec![1, 2, 2], vec![1.0, 9.0, 3.0, 2.0]);
-        let _ = pool.forward(&x, true);
-        let g = pool.backward(&Tensor::from_vec(vec![1, 1, 1], vec![2.5]));
+        let (_, g) = train(&mut single(MaxPool2::new()), &x, &[2.5]);
         assert_eq!(g.as_slice(), &[0.0, 2.5, 0.0, 0.0]);
     }
 
     #[test]
     fn channels_are_independent() {
-        let mut pool = MaxPool2::new();
         let x = Tensor::from_vec(
             vec![2, 2, 2],
             vec![1.0, 2.0, 3.0, 4.0, 40.0, 30.0, 20.0, 10.0],
         );
-        let y = pool.forward(&x, true);
+        let y = infer(&single(MaxPool2::new()), &x);
         assert_eq!(y.as_slice(), &[4.0, 40.0]);
     }
 
     #[test]
     fn odd_dimensions_floor() {
-        let mut pool = MaxPool2::new();
-        let y = pool.forward(&Tensor::zeros(vec![1, 5, 7]), true);
+        let y = infer(&single(MaxPool2::new()), &Tensor::zeros(vec![1, 5, 7]));
         assert_eq!(y.shape(), &[1, 2, 3]);
-        assert_eq!(pool.out_shape(&[1, 5, 7]), vec![1, 2, 3]);
+        assert_eq!(MaxPool2::new().out_shape(&[1, 5, 7]), vec![1, 2, 3]);
     }
 
     #[test]
     fn negative_values_pool_correctly() {
-        let mut pool = MaxPool2::new();
         let x = Tensor::from_vec(vec![1, 2, 2], vec![-5.0, -1.0, -3.0, -2.0]);
-        let y = pool.forward(&x, true);
+        let y = infer(&single(MaxPool2::new()), &x);
         assert_eq!(y.as_slice(), &[-1.0]);
     }
 

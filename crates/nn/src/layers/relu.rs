@@ -1,8 +1,6 @@
 //! Rectified linear activation.
 
-use super::{BackwardCtx, Epilogue, Layer, LegacyCache};
-#[cfg(test)]
-use crate::Tensor;
+use super::{BackwardCtx, Epilogue, Layer};
 
 /// Element-wise `ReLU(x) = max(x, 0)` (paper Eq. (5)).
 ///
@@ -14,22 +12,22 @@ use crate::Tensor;
 /// # Examples
 ///
 /// ```
-/// use hotspot_nn::layers::{Layer, Relu};
-/// use hotspot_nn::Tensor;
+/// use hotspot_nn::engine::Executor;
+/// use hotspot_nn::layers::Relu;
+/// use hotspot_nn::{Network, Tensor};
 ///
-/// let mut relu = Relu::new();
-/// let y = relu.forward(&Tensor::from_vec(vec![3], vec![-1.0, 0.0, 2.0]), true);
-/// assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0]);
+/// let mut net = Network::new();
+/// net.push(Relu::new());
+/// let x = Tensor::from_vec(vec![3], vec![-1.0, 0.0, 2.0]);
+/// assert_eq!(Executor::new().infer(&net, &x), &[0.0, 0.0, 2.0]);
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct Relu {
-    cache: LegacyCache,
-}
+pub struct Relu;
 
 impl Relu {
     /// Creates a ReLU activation.
     pub fn new() -> Self {
-        Relu::default()
+        Relu
     }
 }
 
@@ -81,10 +79,6 @@ impl Layer for Relu {
         Some(Epilogue::Relu)
     }
 
-    fn legacy_cache(&mut self) -> &mut LegacyCache {
-        &mut self.cache
-    }
-
     fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut [f32], &mut [f32])) {}
 
     fn zero_grads(&mut self) {}
@@ -101,37 +95,44 @@ impl Layer for Relu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{infer, single, train};
+    use crate::Tensor;
 
     #[test]
     fn forward_clamps_negatives() {
-        let mut r = Relu::new();
-        let y = r.forward(&Tensor::from_vec(vec![4], vec![-2.0, -0.0, 0.5, 3.0]), true);
+        let y = infer(
+            &single(Relu::new()),
+            &Tensor::from_vec(vec![4], vec![-2.0, -0.0, 0.5, 3.0]),
+        );
         assert_eq!(y.as_slice(), &[0.0, 0.0, 0.5, 3.0]);
     }
 
     #[test]
     fn backward_masks_gradient() {
-        let mut r = Relu::new();
-        let _ = r.forward(&Tensor::from_vec(vec![4], vec![-1.0, 2.0, -3.0, 4.0]), true);
-        let g = r.backward(&Tensor::from_vec(vec![4], vec![1.0, 1.0, 1.0, 1.0]));
+        let (_, g) = train(
+            &mut single(Relu::new()),
+            &Tensor::from_vec(vec![4], vec![-1.0, 2.0, -3.0, 4.0]),
+            &[1.0, 1.0, 1.0, 1.0],
+        );
         assert_eq!(g.as_slice(), &[0.0, 1.0, 0.0, 1.0]);
     }
 
     #[test]
     fn zero_input_has_zero_gradient() {
         // Subgradient convention: ReLU'(0) = 0.
-        let mut r = Relu::new();
-        let _ = r.forward(&Tensor::from_vec(vec![1], vec![0.0]), true);
-        let g = r.backward(&Tensor::from_vec(vec![1], vec![5.0]));
+        let (_, g) = train(
+            &mut single(Relu::new()),
+            &Tensor::from_vec(vec![1], vec![0.0]),
+            &[5.0],
+        );
         assert_eq!(g.as_slice(), &[0.0]);
     }
 
     #[test]
     fn preserves_shape() {
-        let mut r = Relu::new();
-        let y = r.forward(&Tensor::zeros(vec![2, 3, 4]), false);
+        let y = infer(&single(Relu::new()), &Tensor::zeros(vec![2, 3, 4]));
         assert_eq!(y.shape(), &[2, 3, 4]);
-        assert_eq!(r.out_shape(&[2, 3, 4]), vec![2, 3, 4]);
+        assert_eq!(Relu::new().out_shape(&[2, 3, 4]), vec![2, 3, 4]);
     }
 
     #[test]
@@ -141,9 +142,11 @@ mod tests {
         // predicate x > 0 (y == x where x > 0, else y == 0).
         let x = [-1.5f32, 0.0, 0.5, 3.0];
         let g = [1.0f32, 2.0, 3.0, 4.0];
-        let mut r = Relu::new();
-        let _ = r.forward(&Tensor::from_vec(vec![4], x.to_vec()), true);
-        let standalone = r.backward(&Tensor::from_vec(vec![4], g.to_vec()));
+        let (_, standalone) = train(
+            &mut single(Relu::new()),
+            &Tensor::from_vec(vec![4], x.to_vec()),
+            &g,
+        );
         let y: Vec<f32> = x.iter().map(|&v| if v > 0.0 { v } else { 0.0 }).collect();
         let mut fused = g.to_vec();
         Epilogue::Relu.grad_from_output(&y, &mut fused);

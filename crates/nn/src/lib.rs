@@ -4,28 +4,33 @@
 //! required subset natively in Rust, with no external ML dependencies:
 //!
 //! - [`Tensor`]: a dense CHW tensor (channels × height × width).
-//! - [`layers`]: convolution (arbitrary kernel/padding), ReLU, 2×2 max
-//!   pooling, dense, flatten, and inverted dropout — each implementing
-//!   [`Layer`] with exact analytic gradients (validated by
-//!   finite-difference tests).
+//! - [`layers`]: convolution (arbitrary kernel/padding), ReLU, sigmoid,
+//!   tanh, 2×2 max pooling, dense, flatten, and inverted dropout — each
+//!   implementing [`Layer`]'s slice contract with exact analytic
+//!   gradients (validated by finite-difference tests).
 //! - [`gemm`]: the matrix-multiply kernels convolution (via im2col) and
 //!   dense layers lower onto — runtime-dispatched between AVX-512, AVX2,
 //!   and portable scalar backends, with the scalar kernels kept as the
 //!   bit-identity oracle (see [`ulp`] for the SIMD comparison contract).
 //! - [`loss`]: softmax cross-entropy with **soft targets**, the ingredient
 //!   biased learning needs (`y*_n = [1-ε, ε]`).
-//! - [`Network`]: a sequential container with forward/backward passes and
-//!   parameter visitation.
-//! - [`engine`]: shape-planned execution — a `ShapePlan`/`Workspace` pair
-//!   that preallocates every intermediate buffer in one arena and fuses
-//!   activation epilogues into the GEMM layers, so steady-state inference
-//!   and training do zero allocations (bit-identical to the classic path).
-//! - [`optim`]: plain SGD and the paper's mini-batch gradient descent
-//!   (Algorithm 1) with step-decayed learning rate.
+//! - [`Network`]: a sequential container of layers — parameters,
+//!   gradients and RNG streams, with parameter visitation and batched
+//!   inference.
+//! - [`engine`]: shape-planned execution, the only way a network runs —
+//!   a `ShapePlan`/`Workspace` pair that preallocates every intermediate
+//!   buffer in one arena and fuses activation epilogues into the GEMM
+//!   layers, so steady-state inference and training do zero allocations.
+//!   [`engine::Executor`] is the front door; `BatchScorer` serves ragged
+//!   batches.
+//! - [`optim`]: the paper's mini-batch gradient descent step (Algorithm 1)
+//!   with step-decayed learning rate.
 //! - [`parallel`]: deterministic multi-threaded mini-batch gradients
 //!   (the "MGD is compatible with parallel computing" point of §5).
+//! - [`parallelism`]: the worker-count policy for batch inference.
 //! - [`data`]: seeded mini-batch sampling.
 //! - [`serialize`]: flat parameter export/import for model persistence.
+//! - [`ulp`]: the ULP-distance contract SIMD kernels are held to.
 //!
 //! Determinism: all stochastic pieces (init, dropout, batch sampling) take
 //! explicit seeds.
@@ -35,36 +40,29 @@
 //! Train a tiny MLP on XOR:
 //!
 //! ```
+//! use hotspot_nn::engine::Executor;
 //! use hotspot_nn::layers::{Dense, Relu};
-//! use hotspot_nn::{loss, Network, Tensor};
+//! use hotspot_nn::{loss, optim, Network, Tensor};
 //!
 //! let mut net = Network::new();
 //! net.push(Dense::new(2, 8, 1));
 //! net.push(Relu::new());
 //! net.push(Dense::new(8, 2, 2));
 //!
-//! let data = [
-//!     ([0.0f32, 0.0], [1.0f32, 0.0]),
-//!     ([0.0, 1.0], [0.0, 1.0]),
-//!     ([1.0, 0.0], [0.0, 1.0]),
-//!     ([1.0, 1.0], [1.0, 0.0]),
-//! ];
+//! let xs: Vec<Tensor> = [[0.0f32, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+//!     .iter()
+//!     .map(|x| Tensor::from_vec(vec![2], x.to_vec()))
+//!     .collect();
+//! let targets = [[1.0f32, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]];
+//! let data: Vec<(&Tensor, [f32; 2])> = xs.iter().zip(targets).collect();
+//!
+//! let mut ex = Executor::new();
 //! for _ in 0..600 {
-//!     net.zero_grads();
-//!     for (x, t) in &data {
-//!         let input = Tensor::from_vec(vec![2], x.to_vec());
-//!         let logits = net.forward(&input, true);
-//!         let (_, grad) = loss::softmax_cross_entropy(&logits, t);
-//!         net.backward(&grad);
-//!     }
-//!     net.apply_gradients(0.5 / data.len() as f32);
+//!     optim::minibatch_step(&mut net, &mut ex, &data, 0.5);
 //! }
 //! for (x, t) in &data {
-//!     let input = Tensor::from_vec(vec![2], x.to_vec());
-//!     let p = loss::softmax(net.forward(&input, false).as_slice());
-//!     let predicted = if p[1] > 0.5 { 1 } else { 0 };
-//!     let expected = if t[1] > 0.5 { 1 } else { 0 };
-//!     assert_eq!(predicted, expected);
+//!     let p = loss::softmax(ex.infer(&net, x));
+//!     assert_eq!(p[1] > 0.5, t[1] > 0.5);
 //! }
 //! ```
 
@@ -133,3 +131,6 @@ impl fmt::Display for NnError {
 }
 
 impl Error for NnError {}
+
+#[cfg(test)]
+mod testutil;

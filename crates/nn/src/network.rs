@@ -4,11 +4,15 @@ use crate::layers::Layer;
 use crate::Tensor;
 use std::fmt;
 
-/// A sequential stack of [`Layer`]s.
+/// A sequential stack of [`Layer`]s. A network holds parameters only;
+/// every forward and backward pass runs through a shape plan and a
+/// workspace ([`crate::engine`]), most conveniently an
+/// [`crate::engine::Executor`].
 ///
 /// # Examples
 ///
 /// ```
+/// use hotspot_nn::engine::Executor;
 /// use hotspot_nn::layers::{Dense, Relu};
 /// use hotspot_nn::{Network, Tensor};
 ///
@@ -16,8 +20,8 @@ use std::fmt;
 /// net.push(Dense::new(4, 8, 0));
 /// net.push(Relu::new());
 /// net.push(Dense::new(8, 2, 1));
-/// let logits = net.forward(&Tensor::zeros(vec![4]), false);
-/// assert_eq!(logits.shape(), &[2]);
+/// let logits = Executor::new().infer(&net, &Tensor::zeros(vec![4])).to_vec();
+/// assert_eq!(logits.len(), 2);
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct Network {
@@ -55,30 +59,6 @@ impl Network {
         self.layers.is_empty()
     }
 
-    /// Full forward pass. `train` toggles dropout behaviour.
-    pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x, train);
-        }
-        x
-    }
-
-    /// Full forward pass in inference mode without mutating any layer
-    /// state — the shared-reference counterpart of `forward(input, false)`.
-    ///
-    /// Bit-identical to `forward(input, false)` (each layer guarantees
-    /// this for [`Layer::forward_inference`]), but callable through `&self`
-    /// so many worker threads can score against one network concurrently
-    /// instead of cloning per-worker replicas.
-    pub fn forward_inference(&self, input: &Tensor) -> Tensor {
-        let mut x = input.clone();
-        for layer in &self.layers {
-            x = layer.forward_inference(&x);
-        }
-        x
-    }
-
     /// Inference over a batch of same-shaped inputs on the **batched
     /// planner** ([`Network::forward_batch_with`]): each worker packs its
     /// inputs into sample-major blocks (block size from
@@ -87,8 +67,8 @@ impl Network {
     /// block instead of once per input. Workers all share `&self` — no
     /// replica cloning — and results come back in input order.
     ///
-    /// Bit-identical to the serial [`Network::forward_inference`] loop for
-    /// any worker policy: GEMM batch columns are computed independently
+    /// Bit-identical to per-input [`crate::engine::Executor::infer`] calls
+    /// for any worker policy: GEMM batch columns are computed independently
     /// (see [`crate::Layer::forward_batch_into`]) and per-input work is
     /// pure. Training-mode batching is deliberately not offered here —
     /// stochastic layers draw per-replica streams; use
@@ -113,12 +93,16 @@ impl Network {
         let in_len: usize = in_shape.iter().product();
         let probe = self.plan(&in_shape);
         let out_len = probe.out_len();
+        let out_shape = probe.out_shape().to_vec();
         if in_len == 0 || out_len == 0 {
             // Zero-length samples cannot be packed into flat sample-major
             // blocks; score the degenerate shapes one by one.
-            return inputs.iter().map(|x| self.forward_inference(x)).collect();
+            let mut ex = crate::engine::Executor::new();
+            return inputs
+                .iter()
+                .map(|x| Tensor::from_vec(out_shape.clone(), ex.infer(self, x).to_vec()))
+                .collect();
         }
-        let out_shape = probe.out_shape().to_vec();
         let block = probe.suggested_batch().min(inputs.len());
         let block_plan = self.plan_batch(&in_shape, block);
         let workers = parallelism.workers().min(inputs.len()).max(1);
@@ -170,17 +154,6 @@ impl Network {
             std::panic::resume_unwind(payload);
         }
         outputs.into_iter().flatten().collect()
-    }
-
-    /// Full backward pass from a loss gradient; parameter gradients
-    /// accumulate inside each layer. Returns the gradient at the input
-    /// (rarely needed, but exposed per C-INTERMEDIATE).
-    pub fn backward(&mut self, loss_grad: &Tensor) -> Tensor {
-        let mut g = loss_grad.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
     }
 
     /// Clears all accumulated gradients.
@@ -289,8 +262,10 @@ impl fmt::Display for Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Executor;
     use crate::layers::{Dense, Flatten, MaxPool2, Relu};
-    use crate::loss;
+    use crate::testutil::{infer, train};
+    use crate::{loss, optim};
 
     fn tiny_net() -> Network {
         let mut net = Network::new();
@@ -302,8 +277,7 @@ mod tests {
 
     #[test]
     fn forward_shape() {
-        let mut net = tiny_net();
-        let y = net.forward(&Tensor::zeros(vec![3]), false);
+        let y = infer(&tiny_net(), &Tensor::zeros(vec![3]));
         assert_eq!(y.shape(), &[2]);
     }
 
@@ -318,12 +292,9 @@ mod tests {
         let mut net = tiny_net();
         let x = Tensor::from_vec(vec![3], vec![0.5, -0.2, 0.8]);
         let target = [0.0f32, 1.0];
-        let (l0, g) = loss::softmax_cross_entropy(&net.forward(&x, true), &target);
-        net.zero_grads();
-        let _ = net.forward(&x, true);
-        net.backward(&g);
-        net.apply_gradients(0.1);
-        let (l1, _) = loss::softmax_cross_entropy(&net.forward(&x, false), &target);
+        let mut ex = Executor::new();
+        let l0 = optim::minibatch_step(&mut net, &mut ex, &[(&x, target)], 0.1);
+        let (l1, _) = loss::softmax_cross_entropy(&infer(&net, &x), &target);
         assert!(l1 < l0, "loss should decrease: {l0} -> {l1}");
     }
 
@@ -342,7 +313,7 @@ mod tests {
     #[test]
     fn forward_batch_is_bit_identical_to_serial() {
         use crate::Parallelism;
-        let mut net = tiny_net();
+        let net = tiny_net();
         // 70 inputs: tiny_net's suggested block is 64, so every worker
         // partition exercises full blocks plus a ragged tail.
         let inputs: Vec<Tensor> = (0..70)
@@ -355,7 +326,7 @@ mod tests {
                 )
             })
             .collect();
-        let serial: Vec<Tensor> = inputs.iter().map(|x| net.forward(x, false)).collect();
+        let serial: Vec<Tensor> = inputs.iter().map(|x| infer(&net, x)).collect();
         for workers in [1, 2, 3, 8, 64] {
             let batched = net.forward_batch(&inputs, Parallelism::fixed(workers).unwrap());
             assert_eq!(batched, serial, "workers = {workers}");
@@ -367,16 +338,27 @@ mod tests {
     }
 
     #[test]
+    fn forward_batch_scores_zero_length_outputs() {
+        // A zero-length output cannot be packed into sample-major blocks;
+        // these inputs take the per-input executor fallback instead.
+        let mut net = Network::new();
+        net.push(MaxPool2::new());
+        let inputs = vec![Tensor::zeros(vec![0, 4, 4]); 3];
+        let out = net.forward_batch(&inputs, crate::Parallelism::serial());
+        assert_eq!(out, vec![Tensor::zeros(vec![0, 2, 2]); 3]);
+    }
+
+    #[test]
     fn concurrent_forward_batch_on_shared_network_agrees_with_serial() {
         use crate::Parallelism;
         // Regression for the PR 3 `&self`/`Parallelism` convention:
         // several threads batch-scoring through ONE shared `&Network`
         // must compile (no `&mut self`) and agree with the serial loop.
-        let mut net = tiny_net();
+        let net = tiny_net();
         let inputs: Vec<Tensor> = (0..9)
             .map(|i| Tensor::from_vec(vec![3], vec![i as f32 * 0.1, -0.2, 0.3]))
             .collect();
-        let serial: Vec<Tensor> = inputs.iter().map(|x| net.forward(x, false)).collect();
+        let serial: Vec<Tensor> = inputs.iter().map(|x| infer(&net, x)).collect();
         let shared = &net;
         let inputs = &inputs;
         crossbeam::thread::scope(|scope| {
@@ -405,8 +387,8 @@ mod tests {
     }
 
     #[test]
-    fn forward_inference_is_bit_identical_to_eval_forward() {
-        use crate::layers::{Conv2d, Dropout, Flatten, MaxPool2};
+    fn inference_draws_no_dropout_rng() {
+        use crate::layers::{Conv2d, Dropout};
         // Cover every layer kind that appears in the paper architecture,
         // dropout included (identity at inference, no RNG draw).
         let mut net = Network::new();
@@ -422,10 +404,9 @@ mod tests {
             (0..72).map(|i| (i as f32 * 0.37).sin()).collect(),
         );
         let rng_before = net.rng_states();
-        let inferred = net.forward_inference(&x);
+        let first = infer(&net, &x);
         assert_eq!(net.rng_states(), rng_before, "inference must not draw RNG");
-        let reference = net.forward(&x, false);
-        assert_eq!(inferred, reference);
+        assert_eq!(infer(&net, &x), first);
     }
 
     #[test]
@@ -437,14 +418,16 @@ mod tests {
         net.push(Dense::new(8, 2, 1));
         net.push(Dropout::new(0.3, 9));
         let x = Tensor::from_vec(vec![8], vec![0.25; 8]);
+        let mut ex = Executor::new();
+        let mut forward = |net: &mut Network| ex.forward_train(net, &x).to_vec();
         // Advance the streams, snapshot, advance further.
-        let _ = net.forward(&x, true);
+        let _ = forward(&mut net);
         let states = net.rng_states();
         assert_eq!(states.len(), 2);
-        let after: Vec<Tensor> = (0..3).map(|_| net.forward(&x, true)).collect();
+        let after: Vec<Vec<f32>> = (0..3).map(|_| forward(&mut net)).collect();
         // Rewind and replay: identical mask sequence.
         net.restore_rng_states(&states).unwrap();
-        let replay: Vec<Tensor> = (0..3).map(|_| net.forward(&x, true)).collect();
+        let replay: Vec<Vec<f32>> = (0..3).map(|_| forward(&mut net)).collect();
         assert_eq!(after, replay);
         // Wrong cardinality is rejected.
         assert!(net.restore_rng_states(&states[..1]).is_err());
@@ -454,10 +437,7 @@ mod tests {
     #[test]
     fn zero_grads_clears() {
         let mut net = tiny_net();
-        let x = Tensor::zeros(vec![3]);
-        let y = net.forward(&x, true);
-        let (_, g) = loss::softmax_cross_entropy(&y, &[1.0, 0.0]);
-        net.backward(&g);
+        let _ = train(&mut net, &Tensor::zeros(vec![3]), &[-0.5, 0.5]);
         assert!(net.grad_abs_max() > 0.0);
         net.zero_grads();
         assert_eq!(net.grad_abs_max(), 0.0);

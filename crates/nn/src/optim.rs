@@ -1,52 +1,58 @@
-//! Optimisers: plain SGD and the paper's mini-batch gradient descent.
+//! The paper's mini-batch gradient descent (Algorithm 1): the training
+//! step and the step-decayed learning rate.
 
+use crate::engine::Executor;
 use crate::{loss, Network, Tensor};
 use serde::{Deserialize, Serialize};
 
-/// A labelled training instance: input tensor plus a (possibly soft)
-/// two-class probability target.
-pub type Instance = (Tensor, [f32; 2]);
-
-/// Runs one gradient step on a single instance (stochastic gradient
-/// descent), returning the instance loss. Equivalent to a one-element
-/// [`minibatch_step`] and shares its planned execution path.
-pub fn sgd_step(net: &mut Network, instance: &Instance, lr: f32) -> f32 {
-    minibatch_step(net, std::iter::once(instance), lr)
-}
-
-/// Runs one averaged gradient step over a mini-batch (paper Algorithm 1
-/// lines 5–10), returning the mean batch loss.
+/// Runs one averaged gradient step over a mini-batch of `(input, target)`
+/// pairs (paper Algorithm 1 lines 5–10), returning the mean batch loss.
+/// A one-pair batch is a plain SGD step.
 ///
-/// Each sample runs through a shape-planned [`crate::engine::Executor`],
-/// so after the first sample warms the workspace the whole batch performs
-/// no per-sample allocation — and the results stay bit-identical to the
-/// historical per-tensor path (the planned engine's contract).
+/// Each sample runs forward → soft-target cross-entropy → backward
+/// through the caller-held `ex`, accumulating gradients; the sum is then
+/// applied at rate `lr / m`. The executor keeps its plan and arena across
+/// calls, so a training loop that holds one does no per-step allocation.
+///
+/// # Examples
+///
+/// ```
+/// use hotspot_nn::engine::Executor;
+/// use hotspot_nn::layers::Dense;
+/// use hotspot_nn::{optim, Network, Tensor};
+///
+/// let mut net = Network::new();
+/// net.push(Dense::new(2, 2, 0));
+/// let mut ex = Executor::new();
+/// let x = Tensor::from_vec(vec![2], vec![1.0, -1.0]);
+/// let first = optim::minibatch_step(&mut net, &mut ex, &[(&x, [0.0, 1.0])], 0.5);
+/// let mut last = first;
+/// for _ in 0..20 {
+///     last = optim::minibatch_step(&mut net, &mut ex, &[(&x, [0.0, 1.0])], 0.5);
+/// }
+/// assert!(last < first);
+/// ```
 ///
 /// # Panics
 ///
 /// Panics on an empty batch.
-pub fn minibatch_step<'a, I>(net: &mut Network, batch: I, lr: f32) -> f32
-where
-    I: IntoIterator<Item = &'a Instance>,
-{
+pub fn minibatch_step(
+    net: &mut Network,
+    ex: &mut Executor,
+    batch: &[(&Tensor, [f32; 2])],
+    lr: f32,
+) -> f32 {
+    assert!(!batch.is_empty(), "empty mini-batch");
     net.zero_grads();
-    let mut ex = crate::engine::Executor::new();
-    let mut grad = Vec::new();
+    let mut grad = [0.0f32; 2];
     let mut total = 0.0f32;
-    let mut count = 0usize;
     for (x, t) in batch {
-        let l = {
-            let logits = ex.forward_train(net, x);
-            grad.resize(logits.len(), 0.0);
-            loss::softmax_cross_entropy_into(logits, t, &mut grad)
-        };
+        total += loss::softmax_cross_entropy_into(ex.forward_train(net, x), t, &mut grad);
         ex.backward(net, &grad);
-        total += l;
-        count += 1;
     }
-    assert!(count > 0, "empty mini-batch");
-    net.apply_gradients(lr / count as f32);
-    total / count as f32
+    let m = batch.len() as f32;
+    net.apply_gradients(lr / m);
+    total / m
 }
 
 /// Step-decay learning-rate schedule: `λ ← α·λ` every `decay_step`
@@ -136,90 +142,11 @@ impl LrSchedule {
     }
 }
 
-/// Classical-momentum gradient descent: `v ← μ·v + g; w ← w − λ·v`.
-///
-/// Not used by the paper (its Algorithm 1 is plain MGD) but provided as a
-/// drop-in alternative update rule; the velocity buffer is laid out flat in
-/// parameter-visit order.
-///
-/// # Examples
-///
-/// ```
-/// use hotspot_nn::layers::Dense;
-/// use hotspot_nn::optim::Momentum;
-/// use hotspot_nn::{loss, Network, Tensor};
-///
-/// let mut net = Network::new();
-/// net.push(Dense::new(2, 2, 0));
-/// let mut optim = Momentum::new(0.9);
-/// let x = Tensor::from_vec(vec![2], vec![1.0, -1.0]);
-/// for _ in 0..20 {
-///     net.zero_grads();
-///     let (_, g) = loss::softmax_cross_entropy(&net.forward(&x, true), &[0.0, 1.0]);
-///     net.backward(&g);
-///     optim.step(&mut net, 0.1);
-/// }
-/// let p = loss::softmax(net.forward(&x, false).as_slice());
-/// assert!(p[1] > 0.9);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct Momentum {
-    mu: f32,
-    velocity: Vec<f32>,
-}
-
-impl Momentum {
-    /// Creates a momentum optimiser with coefficient `mu ∈ [0, 1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `mu` is outside `[0, 1)`.
-    pub fn new(mu: f32) -> Self {
-        assert!(
-            (0.0..1.0).contains(&mu),
-            "momentum must be in [0, 1), got {mu}"
-        );
-        Momentum {
-            mu,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Applies one update using the gradients currently accumulated in
-    /// `net`. The velocity buffer is lazily sized on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the network's parameter count changes between steps.
-    pub fn step(&mut self, net: &mut Network, lr: f32) {
-        if self.velocity.is_empty() {
-            let mut count = 0usize;
-            net.visit_params(&mut |w, _| count += w.len());
-            self.velocity = vec![0.0; count];
-        }
-        let mu = self.mu;
-        let mut offset = 0usize;
-        let velocity = &mut self.velocity;
-        net.visit_params(&mut |w, g| {
-            let len = w.len();
-            assert!(
-                offset + len <= velocity.len(),
-                "network parameter count changed between momentum steps"
-            );
-            let v = &mut velocity[offset..offset + len];
-            for ((wi, gi), vi) in w.iter_mut().zip(g.iter()).zip(v.iter_mut()) {
-                *vi = mu * *vi + *gi;
-                *wi -= lr * *vi;
-            }
-            offset += len;
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::layers::{Dense, Relu};
+    use crate::testutil::infer;
 
     fn net() -> Network {
         let mut n = Network::new();
@@ -229,18 +156,26 @@ mod tests {
         n
     }
 
-    fn instance(x: [f32; 2], t: [f32; 2]) -> Instance {
-        (Tensor::from_vec(vec![2], x.to_vec()), t)
+    fn input(x: [f32; 2]) -> Tensor {
+        Tensor::from_vec(vec![2], x.to_vec())
+    }
+
+    fn weights(net: &mut Network) -> Vec<f32> {
+        let mut w = Vec::new();
+        net.visit_params(&mut |p, _| w.extend_from_slice(p));
+        w
     }
 
     #[test]
     fn sgd_reduces_loss_on_repeated_instance() {
         let mut n = net();
-        let inst = instance([1.0, -1.0], [0.0, 1.0]);
-        let first = sgd_step(&mut n, &inst, 0.1);
+        let mut ex = Executor::new();
+        let x = input([1.0, -1.0]);
+        let sample = [(&x, [0.0f32, 1.0])];
+        let first = minibatch_step(&mut n, &mut ex, &sample, 0.1);
         let mut last = first;
         for _ in 0..20 {
-            last = sgd_step(&mut n, &inst, 0.1);
+            last = minibatch_step(&mut n, &mut ex, &sample, 0.1);
         }
         assert!(last < first);
     }
@@ -248,17 +183,20 @@ mod tests {
     #[test]
     fn minibatch_learns_linearly_separable_data() {
         let mut n = net();
-        let data = vec![
-            instance([1.0, 1.0], [1.0, 0.0]),
-            instance([-1.0, -1.0], [0.0, 1.0]),
-            instance([0.8, 1.2], [1.0, 0.0]),
-            instance([-1.2, -0.8], [0.0, 1.0]),
+        let mut ex = Executor::new();
+        let xs = [
+            input([1.0, 1.0]),
+            input([-1.0, -1.0]),
+            input([0.8, 1.2]),
+            input([-1.2, -0.8]),
         ];
+        let targets = [[1.0f32, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]];
+        let data: Vec<(&Tensor, [f32; 2])> = xs.iter().zip(targets).collect();
         for _ in 0..200 {
-            let _ = minibatch_step(&mut n, &data, 0.2);
+            let _ = minibatch_step(&mut n, &mut ex, &data, 0.2);
         }
         for (x, t) in &data {
-            let p = loss::softmax(n.forward(x, false).as_slice());
+            let p = loss::softmax(infer(&n, x).as_slice());
             assert_eq!(p[1] > 0.5, t[1] > 0.5);
         }
     }
@@ -269,25 +207,38 @@ mod tests {
         // a single instance.
         let mut a = net();
         let mut b = net();
-        let inst = instance([0.3, 0.7], [0.0, 1.0]);
-        let batch: Vec<Instance> = (0..4).map(|_| inst.clone()).collect();
-        let _ = sgd_step(&mut a, &inst, 0.1);
-        let _ = minibatch_step(&mut b, &batch, 0.1);
-        let mut wa = Vec::new();
-        a.visit_params(&mut |w, _| wa.extend_from_slice(w));
-        let mut wb = Vec::new();
-        b.visit_params(&mut |w, _| wb.extend_from_slice(w));
-        for (x, y) in wa.iter().zip(wb.iter()) {
+        let x = input([0.3, 0.7]);
+        let pair = (&x, [0.0f32, 1.0]);
+        let _ = minibatch_step(&mut a, &mut Executor::new(), &[pair], 0.1);
+        let _ = minibatch_step(&mut b, &mut Executor::new(), &[pair; 4], 0.1);
+        for (x, y) in weights(&mut a).iter().zip(&weights(&mut b)) {
             assert!((x - y).abs() < 1e-6);
         }
     }
 
     #[test]
+    fn minibatch_step_is_independent_of_executor_history() {
+        // A warm executor (plan and arena from earlier steps, and an
+        // inference pass in between) steps bit-identically to a fresh one.
+        let mut a = net();
+        let mut b = net();
+        let x = input([0.4, -0.9]);
+        let y = input([-0.2, 0.6]);
+        let batch = [(&x, [1.0f32, 0.0]), (&y, [0.0, 1.0])];
+        let mut warm = Executor::new();
+        for _ in 0..3 {
+            let la = minibatch_step(&mut a, &mut warm, &batch, 0.1);
+            let _ = warm.infer(&a, &y);
+            let lb = minibatch_step(&mut b, &mut Executor::new(), &batch, 0.1);
+            assert_eq!(la.to_bits(), lb.to_bits());
+        }
+        assert_eq!(weights(&mut a), weights(&mut b));
+    }
+
+    #[test]
     #[should_panic(expected = "empty mini-batch")]
     fn empty_batch_panics() {
-        let mut n = net();
-        let empty: Vec<Instance> = Vec::new();
-        let _ = minibatch_step(&mut n, &empty, 0.1);
+        let _ = minibatch_step(&mut net(), &mut Executor::new(), &[], 0.1);
     }
 
     #[test]
@@ -323,52 +274,6 @@ mod tests {
     #[should_panic(expected = "resume counter")]
     fn schedule_resume_rejects_overlong_counter() {
         let _ = LrSchedule::resume(0.5, 0.5, 3, 3);
-    }
-
-    #[test]
-    fn momentum_accelerates_on_consistent_gradients() {
-        // On a fixed instance, momentum should reach low loss in fewer
-        // steps than plain GD at the same rate.
-        let inst = instance([1.0, -0.5], [0.0, 1.0]);
-        let loss_after = |steps: usize, mu: f32| {
-            let mut n = net();
-            let mut optim = Momentum::new(mu);
-            for _ in 0..steps {
-                n.zero_grads();
-                let logits = n.forward(&inst.0, true);
-                let (_, g) = crate::loss::softmax_cross_entropy(&logits, &inst.1);
-                n.backward(&g);
-                optim.step(&mut n, 0.02);
-            }
-            let (l, _) = crate::loss::softmax_cross_entropy(&n.forward(&inst.0, false), &inst.1);
-            l
-        };
-        let plain = loss_after(40, 0.0);
-        let momentum = loss_after(40, 0.9);
-        assert!(momentum < plain, "momentum {momentum} vs plain {plain}");
-    }
-
-    #[test]
-    fn momentum_zero_matches_plain_gd() {
-        let inst = instance([0.4, 0.2], [1.0, 0.0]);
-        let mut a = net();
-        let mut b = net();
-        let mut optim = Momentum::new(0.0);
-        for _ in 0..5 {
-            let _ = sgd_step(&mut a, &inst, 0.05);
-            b.zero_grads();
-            let logits = b.forward(&inst.0, true);
-            let (_, g) = crate::loss::softmax_cross_entropy(&logits, &inst.1);
-            b.backward(&g);
-            optim.step(&mut b, 0.05);
-        }
-        assert_eq!(a.forward(&inst.0, false), b.forward(&inst.0, false));
-    }
-
-    #[test]
-    #[should_panic(expected = "momentum must be in")]
-    fn momentum_coefficient_validated() {
-        let _ = Momentum::new(1.0);
     }
 
     #[test]

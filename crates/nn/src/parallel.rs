@@ -14,12 +14,9 @@
 //! shape-planned arena path: the plan and workspace are built on the
 //! first step and reused for every step after (plans depend only on
 //! shapes, so parameter syncs never invalidate them).
-//! [`minibatch_step_parallel`] remains as the standalone entry point for
-//! one-shot callers.
 
 use crate::engine::Executor;
-use crate::optim::Instance;
-use crate::{loss, Network, Tensor};
+use crate::{loss, optim, Network, Tensor};
 
 /// Reusable per-worker network replicas for parallel training.
 ///
@@ -121,9 +118,9 @@ impl ReplicaPool {
 /// partitioned across the pool's replicas. Gradients are merged into
 /// `net` in fixed worker order and applied at rate `lr / batch len`.
 ///
-/// Returns the mean batch loss. Falls back to a serial pass on the master
-/// when the pool has one replica (or the batch has one sample), which is
-/// bit-identical to [`crate::optim::minibatch_step`] semantics.
+/// Returns the mean batch loss. Falls back to
+/// [`crate::optim::minibatch_step`] on the master when the pool has one
+/// replica (or the batch has one sample).
 ///
 /// # Panics
 ///
@@ -138,21 +135,7 @@ pub fn minibatch_step_pooled(
     let threads = pool.threads().min(batch.len());
 
     if threads == 1 {
-        net.zero_grads();
-        let ex = &mut pool.master;
-        let mut grad = Vec::new();
-        let mut total = 0.0f32;
-        for (x, t) in batch {
-            let l = {
-                let logits = ex.forward_train(net, x);
-                grad.resize(logits.len(), 0.0);
-                loss::softmax_cross_entropy_into(logits, t, &mut grad)
-            };
-            ex.backward(net, &grad);
-            total += l;
-        }
-        net.apply_gradients(lr / batch.len() as f32);
-        return total / batch.len() as f32;
+        return optim::minibatch_step(net, &mut pool.master, batch, lr);
     }
 
     pool.sync_parameters(net);
@@ -214,47 +197,11 @@ pub fn minibatch_step_pooled(
     losses.iter().sum::<f32>() / batch.len() as f32
 }
 
-/// Runs one averaged mini-batch gradient step with the batch partitioned
-/// across `threads` workers (`threads = 1` falls back to the serial path
-/// of [`crate::optim::minibatch_step`] semantics).
-///
-/// Gradient merging is ordered by worker index, so the update — and any
-/// training run built on it — is deterministic.
-///
-/// This builds a fresh [`ReplicaPool`] per call; loops should hold their
-/// own pool and call [`minibatch_step_pooled`] instead.
-///
-/// Returns the mean batch loss.
-///
-/// # Panics
-///
-/// Panics on an empty batch or `threads == 0`.
-pub fn minibatch_step_parallel(
-    net: &mut Network,
-    batch: &[&Instance],
-    lr: f32,
-    threads: usize,
-) -> f32 {
-    assert!(!batch.is_empty(), "empty mini-batch");
-    assert!(threads > 0, "threads must be nonzero");
-    let threads = threads.min(batch.len());
-    let pairs: Vec<(&Tensor, [f32; 2])> = batch.iter().map(|(x, t)| (x, *t)).collect();
-    // The serial path never touches the replicas, so a pool of the empty
-    // network is enough to avoid cloning `net` when threads == 1.
-    let mut pool = if threads == 1 {
-        ReplicaPool::new(&Network::new(), 1)
-    } else {
-        ReplicaPool::new(net, threads)
-    };
-    minibatch_step_pooled(net, &mut pool, &pairs, lr)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::layers::{Dense, Relu};
     use crate::serialize::ParameterBlob;
-    use crate::Tensor;
 
     fn net(seed: u64) -> Network {
         let mut n = Network::new();
@@ -264,7 +211,7 @@ mod tests {
         n
     }
 
-    fn batch() -> Vec<Instance> {
+    fn batch() -> Vec<(Tensor, [f32; 2])> {
         (0..12)
             .map(|i| {
                 let v: Vec<f32> = (0..4)
@@ -280,14 +227,32 @@ mod tests {
             .collect()
     }
 
+    fn pairs(data: &[(Tensor, [f32; 2])]) -> Vec<(&Tensor, [f32; 2])> {
+        data.iter().map(|(x, t)| (x, *t)).collect()
+    }
+
+    /// One pooled step on a fresh pool of `threads` replicas.
+    fn step(net: &mut Network, batch: &[(&Tensor, [f32; 2])], lr: f32, threads: usize) -> f32 {
+        let mut pool = ReplicaPool::new(net, threads);
+        minibatch_step_pooled(net, &mut pool, batch, lr)
+    }
+
     #[test]
     fn parallel_matches_serial_update_closely() {
         let data = batch();
-        let refs: Vec<&Instance> = data.iter().collect();
+        let refs = pairs(&data);
         let mut serial = net(5);
+        let mut pooled_serial = net(5);
         let mut parallel = net(5);
-        let l1 = minibatch_step_parallel(&mut serial, &refs, 0.1, 1);
-        let l4 = minibatch_step_parallel(&mut parallel, &refs, 0.1, 4);
+        let l1 = optim::minibatch_step(&mut serial, &mut Executor::new(), &refs, 0.1);
+        // The one-replica pool is the serial step itself.
+        let lp = step(&mut pooled_serial, &refs, 0.1, 1);
+        assert_eq!(l1.to_bits(), lp.to_bits());
+        assert_eq!(
+            ParameterBlob::from_network(&mut serial),
+            ParameterBlob::from_network(&mut pooled_serial)
+        );
+        let l4 = step(&mut parallel, &refs, 0.1, 4);
         assert!((l1 - l4).abs() < 1e-5, "losses differ: {l1} vs {l4}");
         let ws = ParameterBlob::from_network(&mut serial);
         let wp = ParameterBlob::from_network(&mut parallel);
@@ -300,11 +265,11 @@ mod tests {
     #[test]
     fn parallel_is_deterministic_across_runs() {
         let data = batch();
-        let refs: Vec<&Instance> = data.iter().collect();
+        let refs = pairs(&data);
         let run = || {
             let mut n = net(9);
             for _ in 0..5 {
-                minibatch_step_parallel(&mut n, &refs, 0.05, 3);
+                step(&mut n, &refs, 0.05, 3);
             }
             ParameterBlob::from_network(&mut n)
         };
@@ -314,15 +279,14 @@ mod tests {
     #[test]
     fn pooled_steps_match_fresh_replica_steps() {
         let data = batch();
-        let pairs: Vec<(&Tensor, [f32; 2])> = data.iter().map(|(x, t)| (x, *t)).collect();
-        let refs: Vec<&Instance> = data.iter().collect();
+        let refs = pairs(&data);
 
         let mut fresh = net(11);
         let mut pooled = net(11);
         let mut pool = ReplicaPool::new(&pooled, 3);
         for _ in 0..4 {
-            let lf = minibatch_step_parallel(&mut fresh, &refs, 0.05, 3);
-            let lp = minibatch_step_pooled(&mut pooled, &mut pool, &pairs, 0.05);
+            let lf = step(&mut fresh, &refs, 0.05, 3);
+            let lp = minibatch_step_pooled(&mut pooled, &mut pool, &refs, 0.05);
             assert_eq!(lf, lp, "pooled step must be bit-identical");
         }
         assert_eq!(
@@ -340,9 +304,9 @@ mod tests {
     #[test]
     fn more_threads_than_samples_is_fine() {
         let data = batch();
-        let refs: Vec<&Instance> = data.iter().take(2).collect();
+        let refs = pairs(&data[..2]);
         let mut n = net(1);
-        let l = minibatch_step_parallel(&mut n, &refs, 0.1, 16);
+        let l = step(&mut n, &refs, 0.1, 16);
         assert!(l.is_finite());
     }
 
@@ -350,15 +314,12 @@ mod tests {
     #[should_panic(expected = "empty mini-batch")]
     fn empty_batch_panics() {
         let mut n = net(0);
-        let _ = minibatch_step_parallel(&mut n, &[], 0.1, 2);
+        let _ = step(&mut n, &[], 0.1, 2);
     }
 
     #[test]
     #[should_panic(expected = "threads must be nonzero")]
     fn zero_threads_panics() {
-        let data = batch();
-        let refs: Vec<&Instance> = data.iter().collect();
-        let mut n = net(0);
-        let _ = minibatch_step_parallel(&mut n, &refs, 0.1, 0);
+        let _ = ReplicaPool::new(&net(0), 0);
     }
 }

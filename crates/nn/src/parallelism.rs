@@ -7,9 +7,9 @@
 //! worker count and each API to re-validate it. [`Parallelism`]
 //! centralises the policy: it is configured once, validated at
 //! construction, and resolved to a concrete worker count only where
-//! threads are actually spawned. Inference is pure (see
-//! `Network::forward_inference`), so the chosen worker count never
-//! changes results — only latency.
+//! threads are actually spawned. Inference is pure (planned passes take
+//! `&Network` and a per-worker workspace), so the chosen worker count
+//! never changes results — only latency.
 //!
 //! The type lives here (rather than in the detector crate) because
 //! [`crate::Network::forward_batch`] is the lowest-level API that takes

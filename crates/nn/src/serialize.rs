@@ -191,6 +191,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 mod tests {
     use super::*;
     use crate::layers::{Dense, Relu};
+    use crate::testutil::infer;
     use crate::Tensor;
 
     fn net(seed: u64) -> Network {
@@ -207,9 +208,9 @@ mod tests {
         let blob = ParameterBlob::from_network(&mut a);
         let mut b = net(2);
         let x = Tensor::from_vec(vec![4], vec![0.1, -0.5, 0.3, 0.9]);
-        assert_ne!(a.forward(&x, false), b.forward(&x, false));
+        assert_ne!(infer(&a, &x), infer(&b, &x));
         blob.load_into(&mut b).unwrap();
-        assert_eq!(a.forward(&x, false), b.forward(&x, false));
+        assert_eq!(infer(&a, &x), infer(&b, &x));
     }
 
     #[test]

@@ -3,11 +3,49 @@
 use hotspot_nn::engine::{Executor, Workspace};
 use hotspot_nn::layers::{Conv2d, Dense, Dropout, Flatten, Layer, MaxPool2, Relu, Sigmoid, Tanh};
 use hotspot_nn::serialize::ParameterBlob;
-use hotspot_nn::{gemm, loss, Network, Parallelism, Tensor};
+use hotspot_nn::{gemm, loss, optim, Network, Parallelism, Tensor};
 use proptest::prelude::*;
 
 fn arb_vec(len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-5.0f32..5.0, len)
+}
+
+/// A one-layer network around `layer`: its plan fuses nothing.
+fn single<L: Layer + 'static>(layer: L) -> Network {
+    let mut net = Network::new();
+    net.push(layer);
+    net
+}
+
+/// Planned inference output of `net` on `x`.
+fn infer(net: &Network, x: &Tensor) -> Vec<f32> {
+    Executor::new().infer(net, x).to_vec()
+}
+
+/// Appends `layer` to the last network of `nets`, or to a new one when
+/// `split`: the same builder yields one network or one network per layer.
+fn push<L: Layer + 'static>(nets: &mut Vec<Network>, split: bool, layer: L) {
+    if split || nets.is_empty() {
+        nets.push(Network::new());
+    }
+    if let Some(net) = nets.last_mut() {
+        net.push(layer);
+    }
+}
+
+/// Runs `x` through a chain of networks, each on its own executor,
+/// training or inference mode.
+fn chain(nets: &mut [Network], exs: &mut [Executor], x: &Tensor, train: bool) -> Vec<f32> {
+    let mut cur = x.clone();
+    for (net, ex) in nets.iter_mut().zip(exs.iter_mut()) {
+        let y = if train {
+            ex.forward_train(net, &cur).to_vec()
+        } else {
+            ex.infer(net, &cur).to_vec()
+        };
+        cur = Tensor::from_vec(ex.plan().expect("a pass just ran").out_shape().to_vec(), y);
+    }
+    cur.into_vec()
 }
 
 /// f64 triple-loop C += A·B reference the blocked kernels are judged
@@ -91,10 +129,10 @@ proptest! {
 
     #[test]
     fn relu_is_idempotent(v in (1usize..40).prop_flat_map(arb_vec)) {
-        let mut relu = Relu::new();
-        let x = Tensor::from_vec(vec![v.len()], v);
-        let once = relu.forward(&x, true);
-        let twice = relu.forward(&once, true);
+        let relu = single(Relu::new());
+        let n = v.len();
+        let once = infer(&relu, &Tensor::from_vec(vec![n], v));
+        let twice = infer(&relu, &Tensor::from_vec(vec![n], once.clone()));
         prop_assert_eq!(once, twice);
     }
 
@@ -102,12 +140,11 @@ proptest! {
     fn maxpool_output_bounded_by_input(
         v in arb_vec(4 * 6 * 6)
     ) {
-        let mut pool = MaxPool2::new();
         let x = Tensor::from_vec(vec![4, 6, 6], v.clone());
-        let y = pool.forward(&x, true);
+        let y = infer(&single(MaxPool2::new()), &x);
         let in_max = v.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let in_min = v.iter().copied().fold(f32::INFINITY, f32::min);
-        for &o in y.as_slice() {
+        for &o in &y {
             prop_assert!(o <= in_max && o >= in_min);
         }
     }
@@ -125,19 +162,19 @@ proptest! {
         });
         let x = Tensor::from_vec(vec![2, 5, 5], v.clone());
         let sx = Tensor::from_vec(vec![2, 5, 5], v.iter().map(|&a| a * scale).collect());
-        let y = conv.forward(&x, false);
-        let sy = conv.forward(&sx, false);
-        for (a, b) in y.as_slice().iter().zip(sy.as_slice().iter()) {
+        let conv = single(conv);
+        let y = infer(&conv, &x);
+        let sy = infer(&conv, &sx);
+        for (a, b) in y.iter().zip(sy.iter()) {
             prop_assert!((a * scale - b).abs() < 1e-3 * (1.0 + b.abs()));
         }
     }
 
     #[test]
     fn flatten_preserves_every_element(v in arb_vec(3 * 4 * 2)) {
-        let mut f = Flatten::new();
         let x = Tensor::from_vec(vec![3, 4, 2], v.clone());
-        let y = f.forward(&x, true);
-        prop_assert_eq!(y.as_slice(), &v[..]);
+        let y = infer(&single(Flatten::new()), &x);
+        prop_assert_eq!(&y[..], &v[..]);
     }
 
     #[test]
@@ -274,7 +311,7 @@ proptest! {
     }
 
     #[test]
-    fn planned_execution_is_bit_identical_to_allocating_path(
+    fn planned_execution_is_bit_identical_to_unfused_reference(
         channels in 1usize..3,
         hw in 4usize..9,
         maps in 1usize..4,
@@ -287,31 +324,33 @@ proptest! {
         // The cross-path contract: for random architectures, input
         // shapes, window counts and batch-block sizes (including B = 1,
         // B = window_count, and ragged final blocks where
-        // windows % block != 0), three scoring paths produce bit-for-bit
+        // windows % block != 0), four scoring paths produce bit-for-bit
         // identical outputs:
-        //   1. the historical allocating forward (`forward_inference`),
-        //   2. the per-window shape-planned arena path (`Executor::infer`),
+        //   1. the unfused reference — the same layers one per network,
+        //      chained through their own executors (a one-layer plan
+        //      fuses nothing, so every activation runs standalone),
+        //   2. the per-window fused plan (`Executor::infer`),
         //   3. the batched planned path (`plan_batch` +
         //      `forward_batch_with`), which runs one GEMM per layer over a
-        //      whole block of windows.
-        // Also pinned: training mode (same dropout RNG stream) and the
-        // chunked `forward_batch` API across worker counts.
-        let build = || {
-            let mut net = Network::new();
-            net.push(Conv2d::new(channels, maps, 3, 1, seed));
-            net.push(Relu::new());
-            net.push(MaxPool2::new());
-            net.push(Flatten::new());
+        //      whole block of windows,
+        //   4. the chunked `forward_batch` API across worker counts.
+        // Also pinned: training mode (same dropout RNG stream).
+        let build = |split: bool| {
+            let mut nets = Vec::new();
+            push(&mut nets, split, Conv2d::new(channels, maps, 3, 1, seed));
+            push(&mut nets, split, Relu::new());
+            push(&mut nets, split, MaxPool2::new());
+            push(&mut nets, split, Flatten::new());
             let flat = maps * (hw / 2) * (hw / 2);
-            net.push(Dense::new(flat, 6, seed + 1));
+            push(&mut nets, split, Dense::new(flat, 6, seed + 1));
             match act {
-                0 => net.push(Relu::new()),
-                1 => net.push(Sigmoid::new()),
-                _ => net.push(Tanh::new()),
+                0 => push(&mut nets, split, Relu::new()),
+                1 => push(&mut nets, split, Sigmoid::new()),
+                _ => push(&mut nets, split, Tanh::new()),
             }
-            net.push(Dropout::new(0.3, seed + 2));
-            net.push(Dense::new(6, 2, seed + 3));
-            net
+            push(&mut nets, split, Dropout::new(0.3, seed + 2));
+            push(&mut nets, split, Dense::new(6, 2, seed + 3));
+            nets
         };
 
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(11);
@@ -330,23 +369,26 @@ proptest! {
             })
             .collect();
 
-        // Path 1: the allocating forward is the reference.
-        let net = build();
-        let legacy: Vec<Vec<f32>> = inputs
+        // Path 1: the unfused chain is the reference.
+        let mut unfused = build(true);
+        let mut unfused_exs: Vec<Executor> = unfused.iter().map(|_| Executor::new()).collect();
+        let reference: Vec<Vec<f32>> = inputs
             .iter()
-            .map(|x| net.forward_inference(x).as_slice().to_vec())
+            .map(|x| chain(&mut unfused, &mut unfused_exs, x, false))
             .collect();
+        let net = build(false).remove(0);
+        prop_assert_eq!(net.plan(&in_shape).fused_count(), 2);
 
         // Path 2: per-window planned execution (fused epilogues).
         let mut ex = Executor::new();
-        for (x, want) in inputs.iter().zip(&legacy) {
+        for (x, want) in inputs.iter().zip(&reference) {
             prop_assert_eq!(ex.infer(&net, x), &want[..]);
         }
 
         // Path 3: batched planned execution. Exercise the drawn block
         // size (often ragged: windows % block != 0), plus the two
         // boundary blocks B = 1 and B = window_count.
-        let out_len = legacy[0].len();
+        let out_len = reference[0].len();
         for b in [block, 1, windows] {
             let mut ws = Workspace::new();
             let mut got: Vec<f32> = Vec::with_capacity(windows * out_len);
@@ -361,7 +403,7 @@ proptest! {
                 }
                 got.extend_from_slice(net.forward_batch_with(plan, &mut ws, &flat));
             }
-            for (w, want) in legacy.iter().enumerate() {
+            for (w, want) in reference.iter().enumerate() {
                 prop_assert_eq!(
                     &got[w * out_len..(w + 1) * out_len],
                     &want[..],
@@ -372,18 +414,17 @@ proptest! {
 
         // Chunked batch API across worker counts, bit-identical to serial.
         let batched = net.forward_batch(&inputs, Parallelism::fixed(workers).unwrap());
-        for (got, want) in batched.iter().zip(&legacy) {
+        for (got, want) in batched.iter().zip(&reference) {
             prop_assert_eq!(got.as_slice(), &want[..]);
         }
 
         // Training mode: identical dropout stream, identical activations.
-        let mut legacy_net = build();
-        let mut planned_net = build();
+        let mut planned_net = build(false).remove(0);
         let mut ex = Executor::new();
         for x in &inputs {
-            let want = legacy_net.forward(x, true);
+            let want = chain(&mut unfused, &mut unfused_exs, x, true);
             let got = ex.forward_train(&mut planned_net, x).to_vec();
-            prop_assert_eq!(&got[..], want.as_slice());
+            prop_assert_eq!(got, want);
         }
     }
 
@@ -399,12 +440,9 @@ proptest! {
         net.push(Relu::new());
         net.push(Dense::new(8, 2, 10));
         let x = Tensor::from_vec(vec![6], v);
-        let (l0, g) = loss::softmax_cross_entropy(&net.forward(&x, false), &t);
-        net.zero_grads();
-        let _ = net.forward(&x, false);
-        net.backward(&g);
-        net.apply_gradients(1e-3);
-        let (l1, _) = loss::softmax_cross_entropy(&net.forward(&x, false), &t);
+        let l0 = optim::minibatch_step(&mut net, &mut Executor::new(), &[(&x, t)], 1e-3);
+        let (l1, _) = loss::softmax_cross_entropy(
+            &Tensor::from_vec(vec![2], infer(&net, &x)), &t);
         prop_assert!(l1 <= l0 + 1e-5, "loss increased: {l0} -> {l1}");
     }
 }

@@ -81,7 +81,7 @@ fn roc_curve_brackets_the_default_operating_point() {
     );
 
     // AUC of a trained model must beat chance decisively on this set.
-    let auc = roc::auc(detector.network(), &test_x, &test_y, 200);
+    let auc = roc::auc(detector.network(), &test_x, &test_y);
     assert!(auc > 0.6, "auc {auc}");
 }
 
