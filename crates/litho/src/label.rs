@@ -1,7 +1,7 @@
 //! End-to-end hotspot labelling of clips.
 
-use crate::process::{CornerGrid, CornerReport};
-use crate::{aerial, process, Kernel1d, LithoError, ProcessCorner, ResistModel};
+use crate::process::{CornerGrid, CornerReport, PrintTarget};
+use crate::{aerial, Kernel1d, LithoError, ProcessCorner, ResistModel};
 use hotspot_geometry::{raster, Clip, Grid};
 use serde::{Deserialize, Serialize};
 
@@ -171,10 +171,13 @@ impl CornerLabels {
     }
 }
 
-/// The labelling simulator: rasterise → aerial image per corner → resist →
-/// printing check.
+/// The labelling simulator: rasterise → aerial image per distinct PSF →
+/// resist at each corner's dose → printing check.
 ///
-/// Construct once and reuse; PSF kernels for every corner are precomputed.
+/// Construct once and reuse: the corners are grouped by PSF up front, so a
+/// clip costs one aerial image per distinct defocus blur (two for the
+/// default window and for a 3×2 [`CornerGrid`]) and one erosion/dilation
+/// of its target, all over the guard-band interior only.
 ///
 /// # Examples
 ///
@@ -197,13 +200,52 @@ impl CornerLabels {
 #[derive(Debug, Clone)]
 pub struct LithoSimulator {
     config: LithoConfig,
-    kernels: Vec<Kernel1d>,
+    /// Best-focus PSF, behind [`LithoSimulator::aerial_image`].
+    nominal_psf: Kernel1d,
+    /// The configured corners grouped by PSF.
+    psfs: Vec<PsfGroup>,
     margin_px: usize,
     guard_px: usize,
 }
 
+/// One distinct PSF of a corner list and the indices of the corners that
+/// share it.
+#[derive(Debug, Clone)]
+pub(crate) struct PsfGroup {
+    kernel: Kernel1d,
+    corners: Vec<usize>,
+}
+
+impl PsfGroup {
+    /// Groups `corners` by equal defocused PSF, in order of first use.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LithoError::InvalidParameter`] when a kernel cannot be
+    /// built (see [`Kernel1d::gaussian_defocused`]).
+    pub(crate) fn group(
+        corners: &[ProcessCorner],
+        sigma_nm: f64,
+        resolution_nm: u32,
+    ) -> Result<Vec<PsfGroup>, LithoError> {
+        let mut groups: Vec<PsfGroup> = Vec::new();
+        for (i, corner) in corners.iter().enumerate() {
+            let kernel = Kernel1d::gaussian_defocused(sigma_nm, corner.defocus_nm, resolution_nm)?;
+            match groups.iter_mut().find(|g| g.kernel == kernel) {
+                Some(group) => group.corners.push(i),
+                None => groups.push(PsfGroup {
+                    kernel,
+                    corners: vec![i],
+                }),
+            }
+        }
+        Ok(groups)
+    }
+}
+
 impl LithoSimulator {
-    /// Builds a simulator, precomputing the per-corner PSF kernels.
+    /// Builds a simulator, precomputing the distinct PSF kernels of the
+    /// configured corners.
     ///
     /// # Errors
     ///
@@ -229,18 +271,14 @@ impl LithoSimulator {
                 value: config.guard_band_nm,
             });
         }
-        let kernels = config
-            .corners
-            .iter()
-            .map(|c| {
-                Kernel1d::gaussian_defocused(config.sigma_nm, c.defocus_nm, config.resolution_nm)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        let psfs = PsfGroup::group(&config.corners, config.sigma_nm, config.resolution_nm)?;
+        let nominal_psf = Kernel1d::gaussian(config.sigma_nm, config.resolution_nm)?;
         let margin_px = (config.epe_margin_nm / config.resolution_nm as f64).round() as usize;
         let guard_px = (config.guard_band_nm / config.resolution_nm as f64).round() as usize;
         Ok(LithoSimulator {
             config,
-            kernels,
+            nominal_psf,
+            psfs,
             margin_px,
             guard_px,
         })
@@ -252,25 +290,39 @@ impl LithoSimulator {
         &self.config
     }
 
-    /// Nominal-condition aerial image of a pre-rasterised mask.
+    /// Nominal-condition (best-focus) aerial image of a pre-rasterised mask.
     pub fn aerial_image(&self, mask: &Grid<f32>) -> Grid<f32> {
-        aerial::aerial_image(mask, &self.kernels[0])
+        aerial::aerial_image(mask, &self.nominal_psf)
     }
 
     /// Full process-window analysis of a pre-rasterised mask.
+    ///
+    /// The reports equal, corner for corner, the full-frame composition
+    /// [`aerial::aerial_image`] → [`ResistModel::develop`] →
+    /// [`crate::process::check_printing`] of the target `mask ≥ 0.5`.
     pub fn analyze_raster(&self, mask: &Grid<f32>) -> LithoReport {
-        let target = mask.map(|&v| v >= 0.5);
-        let corner_reports = self
-            .config
-            .corners
-            .iter()
-            .zip(self.kernels.iter())
-            .map(|(corner, psf)| {
-                let intensity = aerial::aerial_image(mask, psf);
-                let printed = self.config.resist.develop(&intensity, corner.dose);
-                process::check_printing(&printed, &target, self.margin_px, self.guard_px)
-            })
-            .collect();
+        self.analyze_corners(mask, &self.config.corners, &self.psfs)
+    }
+
+    /// Analyses `mask` at `corners` under this simulator's optics, resist
+    /// and margins; `psfs` groups `corners` (see [`PsfGroup::group`]).
+    /// With no interior inside the guard band every corner is clean.
+    pub(crate) fn analyze_corners(
+        &self,
+        mask: &Grid<f32>,
+        corners: &[ProcessCorner],
+        psfs: &[PsfGroup],
+    ) -> LithoReport {
+        let mut corner_reports = vec![CornerReport::default(); corners.len()];
+        if let Some(target) = PrintTarget::new(mask, self.margin_px, self.guard_px) {
+            for psf in psfs {
+                let intensity = aerial::aerial_region(mask, &psf.kernel, target.interior());
+                for &i in &psf.corners {
+                    corner_reports[i] =
+                        target.report(&intensity, &self.config.resist, corners[i].dose);
+                }
+            }
+        }
         LithoReport {
             corner_reports,
             min_failure_px: self.config.min_failure_px,
@@ -519,6 +571,50 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn aerial_image_is_best_focus_whatever_the_first_corner() {
+        let config = LithoConfig {
+            corners: vec![ProcessCorner {
+                dose: 1.0,
+                defocus_nm: 60.0,
+            }],
+            ..LithoConfig::default()
+        };
+        let sim = LithoSimulator::new(config).unwrap();
+        let mask = raster::rasterize_clip(&dense_array(), 10);
+        let best_focus = Kernel1d::gaussian(30.0, 10).unwrap();
+        let defocused = Kernel1d::gaussian_defocused(30.0, 60.0, 10).unwrap();
+        let image = sim.aerial_image(&mask);
+        assert_eq!(image, aerial::aerial_image(&mask, &best_focus));
+        assert_ne!(image, aerial::aerial_image(&mask, &defocused));
+    }
+
+    #[test]
+    fn corners_sharing_a_psf_share_one_group() {
+        let groups = |sim: &LithoSimulator| -> Vec<Vec<usize>> {
+            sim.psfs.iter().map(|g| g.corners.clone()).collect()
+        };
+        // Standard window: three best-focus corners, two at 60 nm.
+        assert_eq!(groups(&sim()), [vec![0, 1, 2], vec![3, 4]]);
+        let (grid, _) = grid_sim(3, 2);
+        assert_eq!(groups(&grid), [vec![0, 1, 2], vec![3, 4, 5]]);
+        let (single, _) = grid_sim(1, 1);
+        assert_eq!(groups(&single), [vec![0]]);
+    }
+
+    #[test]
+    fn guard_band_covering_the_clip_leaves_every_corner_clean() {
+        let config = LithoConfig {
+            guard_band_nm: 600.0,
+            ..LithoConfig::default()
+        };
+        let report = LithoSimulator::new(config)
+            .unwrap()
+            .analyze_clip(&dense_array());
+        assert_eq!(report.corner_reports(), [CornerReport::default(); 5]);
+        assert!(!report.is_hotspot());
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Process-window corners and printing-failure analysis.
 
+use crate::aerial::{separable_filter, Region};
+use crate::ResistModel;
 use hotspot_geometry::Grid;
 use serde::{Deserialize, Serialize};
 
@@ -244,57 +246,27 @@ impl CornerReport {
 /// Erodes a binary image by `r` pixels with a square structuring element
 /// (separable two-pass min filter).
 pub fn erode(image: &Grid<bool>, r: usize) -> Grid<bool> {
-    separable_morph(image, r, false)
+    morph(image, r, false, Region::full(image))
 }
 
 /// Dilates a binary image by `r` pixels with a square structuring element
 /// (separable two-pass max filter).
 pub fn dilate(image: &Grid<bool>, r: usize) -> Grid<bool> {
-    separable_morph(image, r, true)
+    morph(image, r, true, Region::full(image))
 }
 
-/// Shared separable morphology. `dilate = true` takes the OR over the
-/// window, erosion the AND. Outside the image counts as background, so
-/// erosion shrinks shapes at the border (conservative) and dilation does
-/// not grow beyond real geometry.
-fn separable_morph(image: &Grid<bool>, r: usize, dilate: bool) -> Grid<bool> {
-    if r == 0 {
-        return image.clone();
-    }
-    let (w, h) = (image.width(), image.height());
-    let pass = |src: &Grid<bool>, horizontal: bool| -> Grid<bool> {
-        let mut out = Grid::filled(w, h, false);
-        for y in 0..h {
-            for x in 0..w {
-                let mut v = !dilate;
-                let (cx, cy, len) = if horizontal { (x, y, w) } else { (y, x, h) };
-                let lo = cx.saturating_sub(r);
-                let hi = (cx + r).min(len - 1);
-                for c in lo..=hi {
-                    let px = if horizontal {
-                        src[(c, cy)]
-                    } else {
-                        src[(cy, c)]
-                    };
-                    if dilate {
-                        v |= px;
-                        if v {
-                            break;
-                        }
-                    } else {
-                        v &= px;
-                        if !v {
-                            break;
-                        }
-                    }
-                }
-                out[(x, y)] = v;
-            }
+/// Shared separable morphology over `region`. `dilate = true` takes the OR
+/// over the window, erosion the AND. The window is clipped to the image:
+/// dilation does not grow beyond real geometry, and erosion does not shrink
+/// shapes where they meet the image border.
+fn morph(image: &Grid<bool>, r: usize, dilate: bool, region: Region) -> Grid<bool> {
+    // A window wider than the image covers all of it.
+    let r = r.min(image.width().max(image.height()));
+    separable_filter(image, region, r, !dilate, |acc, src, _| {
+        for (a, &s) in acc.iter_mut().zip(src) {
+            *a = if dilate { *a | s } else { *a & s };
         }
-        out
-    };
-    let tmp = pass(image, true);
-    pass(&tmp, false)
+    })
 }
 
 /// Compares a printed image against the target geometry.
@@ -308,6 +280,9 @@ fn separable_morph(image: &Grid<bool>, r: usize, dilate: bool) -> Grid<bool> {
 /// Only the interior `guard..(side-guard)` region is inspected, because the
 /// aerial image is physically meaningless near the clip border (unknown
 /// surrounding context).
+///
+/// This is the full-frame reference: labelling counts the same pixels but
+/// erodes, dilates and develops only the inspected interior.
 ///
 /// # Panics
 ///
@@ -323,15 +298,14 @@ pub fn check_printing(
         (target.width(), target.height()),
         "printed/target dimension mismatch"
     );
+    let Some(interior) = Region::interior(target, guard_px) else {
+        return CornerReport::default();
+    };
     let must_print = erode(target, margin_px);
     let may_print = dilate(target, margin_px);
-    let (w, h) = (target.width(), target.height());
-    if 2 * guard_px >= w || 2 * guard_px >= h {
-        return CornerReport::default();
-    }
     let mut report = CornerReport::default();
-    for y in guard_px..h - guard_px {
-        for x in guard_px..w - guard_px {
+    for y in interior.y0..interior.y1 {
+        for x in interior.x0..interior.x1 {
             let p = printed[(x, y)];
             if must_print[(x, y)] && !p {
                 report.open_pixels += 1;
@@ -342,6 +316,67 @@ pub fn check_printing(
         }
     }
     report
+}
+
+/// A clip's target geometry, ready to check any number of aerial images
+/// against: its must-print (eroded) and may-print (dilated) pixels over the
+/// inspected interior, computed once.
+///
+/// [`PrintTarget::report`] gives exactly the [`check_printing`] counts of
+/// the developed full-frame image, while the caller computes the aerial
+/// image over [`PrintTarget::interior`] only.
+#[derive(Debug)]
+pub(crate) struct PrintTarget {
+    interior: Region,
+    must_print: Grid<bool>,
+    may_print: Grid<bool>,
+}
+
+impl PrintTarget {
+    /// Thresholds the mask coverage raster at 0.5 into the target and
+    /// erodes/dilates it by `margin_px` over the interior left by a
+    /// `guard_px` band; `None` when the band covers the whole mask.
+    pub(crate) fn new(mask: &Grid<f32>, margin_px: usize, guard_px: usize) -> Option<Self> {
+        let interior = Region::interior(mask, guard_px)?;
+        let target = mask.map(|&v| v >= 0.5);
+        Some(PrintTarget {
+            interior,
+            must_print: morph(&target, margin_px, false, interior),
+            may_print: morph(&target, margin_px, true, interior),
+        })
+    }
+
+    /// The inspected pixels.
+    #[inline]
+    pub(crate) fn interior(&self) -> Region {
+        self.interior
+    }
+
+    /// Opens and shorts of the `aerial` image over the interior, developed
+    /// by `resist` at `dose`.
+    pub(crate) fn report(
+        &self,
+        aerial: &Grid<f32>,
+        resist: &ResistModel,
+        dose: f32,
+    ) -> CornerReport {
+        assert_eq!(
+            (aerial.width(), aerial.height()),
+            (self.interior.width(), self.interior.height()),
+            "aerial image does not cover the interior"
+        );
+        let mut report = CornerReport::default();
+        let cells = aerial
+            .iter()
+            .zip(self.must_print.iter())
+            .zip(self.may_print.iter());
+        for ((&v, &must), &may) in cells {
+            let printed = resist.prints(v, dose);
+            report.open_pixels += usize::from(must && !printed);
+            report.short_pixels += usize::from(printed && !may);
+        }
+        report
+    }
 }
 
 #[cfg(test)]
@@ -399,6 +434,68 @@ mod tests {
                 assert_eq!(di[(x, y)], !ne[(x, y)], "at ({x},{y})");
             }
         }
+    }
+
+    /// A deterministic non-square binary image.
+    fn speckle(w: usize, h: usize) -> Grid<bool> {
+        let mut state = 0x2545_F491u32;
+        let cells = (0..w * h)
+            .map(|_| {
+                state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                state >> 30 != 0
+            })
+            .collect();
+        Grid::from_vec(w, h, cells)
+    }
+
+    #[test]
+    fn morphology_is_the_clipped_square_window() {
+        // Each output pixel is the AND (erosion) / OR (dilation) of the
+        // image pixels within Chebyshev distance r; pixels outside the
+        // image take no part.
+        let brute = |g: &Grid<bool>, r: usize, dilate: bool| {
+            let (w, h) = (g.width(), g.height());
+            let mut out = g.clone();
+            for y in 0..h {
+                for x in 0..w {
+                    let rows = y.saturating_sub(r)..=y.saturating_add(r).min(h - 1);
+                    let cols = x.saturating_sub(r)..=x.saturating_add(r).min(w - 1);
+                    let mut window = rows.flat_map(|sy| cols.clone().map(move |sx| g[(sx, sy)]));
+                    out[(x, y)] = if dilate {
+                        window.any(|v| v)
+                    } else {
+                        window.all(|v| v)
+                    };
+                }
+            }
+            out
+        };
+        for (w, h) in [(17, 11), (1, 9), (6, 1), (12, 12)] {
+            let g = speckle(w, h);
+            for r in [0, 1, 2, 4, 20, usize::MAX] {
+                assert_eq!(erode(&g, r), brute(&g, r, false), "{w}x{h} erode r={r}");
+                assert_eq!(dilate(&g, r), brute(&g, r, true), "{w}x{h} dilate r={r}");
+            }
+        }
+    }
+
+    #[test]
+    fn print_target_is_the_interior_of_the_full_frame_morphology() {
+        let mask = speckle(23, 15).map(|&v| if v { 1.0f32 } else { 0.0 });
+        let target = mask.map(|&v| v >= 0.5);
+        for margin in [0, 1, 3] {
+            for guard in [0, 2, 7] {
+                let t = PrintTarget::new(&mask, margin, guard).unwrap();
+                let i = t.interior();
+                let crop = |g: &Grid<bool>| {
+                    let rows = (i.y0..i.y1).flat_map(|y| g.row(y)[i.x0..i.x1].to_vec());
+                    Grid::from_vec(i.width(), i.height(), rows.collect())
+                };
+                assert_eq!(t.must_print, crop(&erode(&target, margin)));
+                assert_eq!(t.may_print, crop(&dilate(&target, margin)));
+            }
+        }
+        assert!(PrintTarget::new(&mask, 1, 8).is_none(), "2 x 8 >= 15 rows");
     }
 
     #[test]

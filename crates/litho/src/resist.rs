@@ -58,8 +58,13 @@ impl ResistModel {
     /// Develops an aerial image at relative `dose` into a printed binary
     /// image.
     pub fn develop(&self, aerial: &Grid<f32>, dose: f32) -> Grid<bool> {
-        let t = self.threshold;
-        aerial.map(|&v| v * dose >= t)
+        aerial.map(|&v| self.prints(v, dose))
+    }
+
+    /// Whether a pixel of aerial `intensity` prints at relative `dose`.
+    #[inline]
+    pub(crate) fn prints(&self, intensity: f32, dose: f32) -> bool {
+        intensity * dose >= self.threshold
     }
 }
 

@@ -7,8 +7,9 @@
 //! is a graded printability score (hotspots = small windows, exactly the
 //! paper's definition).
 
-use crate::process::{self, ProcessCorner};
-use crate::{aerial, Kernel1d, LithoError, LithoSimulator};
+use crate::label::PsfGroup;
+use crate::process::ProcessCorner;
+use crate::{LithoError, LithoSimulator};
 use hotspot_geometry::{raster, Clip, Grid};
 use serde::{Deserialize, Serialize};
 
@@ -70,9 +71,11 @@ impl ProcessWindowMap {
 
 /// Measures the process window of a clip over `doses × defocuses_nm`.
 ///
-/// Uses the simulator's optics/resist/margin configuration; each grid
-/// point runs one aerial-image simulation, so an `nd × nf` map costs
-/// `nd × nf` convolutions — use coarse grids for dataset-scale sweeps.
+/// Uses the simulator's optics/resist/margin configuration and its
+/// per-clip analysis: an `nd × nf` map costs one erosion/dilation of the
+/// target and one aerial image per distinct defocus PSF (at most `nf`),
+/// each over the guard-band interior only; the `nd` doses of a defocus
+/// level share its image.
 ///
 /// # Errors
 ///
@@ -97,25 +100,27 @@ pub fn process_window_map(
         });
     }
     let config = sim.config();
+    // Defocus-major, so corner `fi * nd + di` is map cell `(di, fi)`.
+    let corners: Vec<ProcessCorner> = defocuses_nm
+        .iter()
+        .flat_map(|&defocus_nm| {
+            doses
+                .iter()
+                .map(move |&dose| ProcessCorner { dose, defocus_nm })
+        })
+        .collect();
+    let psfs = PsfGroup::group(&corners, config.sigma_nm, config.resolution_nm)?;
     let mask = raster::rasterize_clip(&clip.normalized(), config.resolution_nm);
-    let target = mask.map(|&v| v >= 0.5);
-    let margin_px = (config.epe_margin_nm / config.resolution_nm as f64).round() as usize;
-    let guard_px = (config.guard_band_nm / config.resolution_nm as f64).round() as usize;
-
-    let mut passes = Grid::filled(doses.len(), defocuses_nm.len(), false);
-    for (fi, &defocus) in defocuses_nm.iter().enumerate() {
-        let psf = Kernel1d::gaussian_defocused(config.sigma_nm, defocus, config.resolution_nm)?;
-        let intensity = aerial::aerial_image(&mask, &psf);
-        for (di, &dose) in doses.iter().enumerate() {
-            let printed = config.resist.develop(&intensity, dose);
-            let report = process::check_printing(&printed, &target, margin_px, guard_px);
-            passes[(di, fi)] = report.failures() < config.min_failure_px.max(1);
-        }
-    }
+    let report = sim.analyze_corners(&mask, &corners, &psfs);
+    let passes = report
+        .corner_reports()
+        .iter()
+        .map(|r| !report.corner_fails(r))
+        .collect();
     Ok(ProcessWindowMap {
         doses: doses.to_vec(),
         defocuses_nm: defocuses_nm.to_vec(),
-        passes,
+        passes: Grid::from_vec(doses.len(), defocuses_nm.len(), passes),
     })
 }
 

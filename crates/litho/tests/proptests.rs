@@ -1,12 +1,71 @@
 //! Property-based tests for the lithography substrate.
 
-use hotspot_geometry::{Clip, Grid, Rect};
-use hotspot_litho::process::{dilate, erode};
-use hotspot_litho::{aerial, Kernel1d, LithoConfig, LithoSimulator, ResistModel};
+use hotspot_geometry::{raster, Clip, Grid, Rect};
+use hotspot_litho::process::{check_printing, dilate, erode};
+use hotspot_litho::window::process_window_map;
+use hotspot_litho::{
+    aerial, CornerReport, Kernel1d, LithoConfig, LithoSimulator, ProcessCorner, ResistModel,
+};
 use proptest::prelude::*;
 
 fn arb_binary_grid() -> impl Strategy<Value = Grid<bool>> {
     proptest::collection::vec(proptest::bool::ANY, 144).prop_map(|v| Grid::from_vec(12, 12, v))
+}
+
+/// Defocus values drawn with repeats, so corners share PSFs.
+fn arb_defocus() -> impl Strategy<Value = f64> {
+    proptest::sample::select(vec![0.0, 0.0, 25.0, 60.0, 60.0, 97.5])
+}
+
+/// A `w × h` px raster size (non-square in general) and a simulator
+/// configuration for it: margins from 0 px, guard bands from 0 px to past
+/// half a side, PSF radii from 1 px to wider than the guard band.
+fn arb_setup() -> impl Strategy<Value = (usize, usize, LithoConfig)> {
+    (1usize..40, 1usize..40).prop_flat_map(|(w, h)| {
+        (
+            (
+                proptest::sample::select(vec![5u32, 10, 20]),
+                5.0f64..70.0,
+                0usize..4,
+                0usize..w.max(h) / 2 + 3,
+            ),
+            proptest::collection::vec((0.8f32..1.2, arb_defocus()), 1..7),
+            0.3f32..0.6,
+            0usize..6,
+        )
+            .prop_map(
+                move |((res, sigma_nm, margin, guard), corners, threshold, min_failure_px)| {
+                    let config = LithoConfig {
+                        resolution_nm: res,
+                        sigma_nm,
+                        resist: ResistModel::new(threshold).expect("threshold in (0, 1)"),
+                        corners: corners
+                            .into_iter()
+                            .map(|(dose, defocus_nm)| ProcessCorner { dose, defocus_nm })
+                            .collect(),
+                        epe_margin_nm: (margin as u32 * res) as f64,
+                        guard_band_nm: (guard as u32 * res) as f64,
+                        min_failure_px,
+                    };
+                    (w, h, config)
+                },
+            )
+    })
+}
+
+/// The full-frame reference composition at one corner:
+/// `aerial_image` → `develop` → `check_printing` against `mask ≥ 0.5`.
+fn reference_report(mask: &Grid<f32>, config: &LithoConfig, corner: ProcessCorner) -> CornerReport {
+    let res = config.resolution_nm;
+    let psf =
+        Kernel1d::gaussian_defocused(config.sigma_nm, corner.defocus_nm, res).expect("valid PSF");
+    let printed = config
+        .resist
+        .develop(&aerial::aerial_image(mask, &psf), corner.dose);
+    let target = mask.map(|&v| v >= 0.5);
+    let margin_px = (config.epe_margin_nm / res as f64).round() as usize;
+    let guard_px = (config.guard_band_nm / res as f64).round() as usize;
+    check_printing(&printed, &target, margin_px, guard_px)
 }
 
 proptest! {
@@ -88,6 +147,67 @@ proptest! {
         }
         for (a, b) in d1.iter().zip(d2.iter()) {
             prop_assert!(!a | b);
+        }
+    }
+
+    #[test]
+    fn analyze_raster_matches_the_reference_composition(
+        (w, h, config) in arb_setup(),
+        seed in 0u64..u64::MAX,
+    ) {
+        // Clear, dark, exactly-threshold and partial coverage.
+        let mut state = seed;
+        let cells = (0..w * h)
+            .map(|_| {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                match state >> 61 {
+                    0..=2 => 0.0,
+                    3..=5 => 1.0,
+                    6 => 0.5,
+                    _ => (state >> 40) as f32 / (1u32 << 24) as f32,
+                }
+            })
+            .collect();
+        let mask = Grid::from_vec(w, h, cells);
+        let sim = LithoSimulator::new(config.clone()).expect("valid config");
+        let expected: Vec<CornerReport> = config
+            .corners
+            .iter()
+            .map(|&corner| reference_report(&mask, &config, corner))
+            .collect();
+        prop_assert_eq!(sim.analyze_raster(&mask).corner_reports(), &expected[..]);
+    }
+
+    #[test]
+    fn process_window_map_matches_the_reference_composition(
+        (w, h, config) in arb_setup(),
+        rects in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0), 0..6),
+        doses in proptest::collection::vec(0.8f32..1.2, 1..4),
+        defocuses in proptest::collection::vec(arb_defocus(), 1..4),
+    ) {
+        let res = config.resolution_nm as i64;
+        let (wn, hn) = (w as i64 * res, h as i64 * res);
+        let mut clip = Clip::new(Rect::new(0, 0, wn, hn).expect("window"));
+        for (a, b, c, d) in rects {
+            // Arbitrary nm edges, so coverage is fractional at the borders.
+            let (x0, x1) = ((a * wn as f64) as i64, (b * wn as f64) as i64);
+            let (y0, y1) = ((c * hn as f64) as i64, (d * hn as f64) as i64);
+            if let Ok(r) = Rect::new(x0.min(x1), y0.min(y1), x0.max(x1), y0.max(y1)) {
+                clip.push(r);
+            }
+        }
+        let sim = LithoSimulator::new(config.clone()).expect("valid config");
+        let map = process_window_map(&sim, &clip, &doses, &defocuses).expect("valid axes");
+        let mask = raster::rasterize_clip(&clip.normalized(), config.resolution_nm);
+        for (fi, &defocus_nm) in defocuses.iter().enumerate() {
+            for (di, &dose) in doses.iter().enumerate() {
+                let report = reference_report(&mask, &config, ProcessCorner { dose, defocus_nm });
+                prop_assert_eq!(
+                    map.passes_at(di, fi),
+                    report.failures() < config.min_failure_px.max(1),
+                    "dose {} defocus {}", dose, defocus_nm
+                );
+            }
         }
     }
 

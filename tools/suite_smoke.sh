@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Benchmark-suite smoke test against the real binaries: generate the
-# golden-mini corner suite twice and assert bit-identical manifests,
+# golden-mini corner suite twice and assert bit-identical manifests equal
+# to the committed crates/datagen/tests/golden/mini.manifest,
 # validate the manifest and per-corner label files, train/eval on the
 # generated data, and run the `suites` bench at a tiny budget so CI
 # archives a fresh results/BENCH_suites.json.
@@ -30,6 +31,9 @@ for f in manifest.txt train.clips train.labels train.corners \
     || { echo "FAIL: $f differs between identical-seed generations"; exit 1; }
 done
 echo "OK: regeneration is bit-identical (manifest, clips, labels, corners)"
+cmp "$work/a/manifest.txt" crates/datagen/tests/golden/mini.manifest \
+  || { echo "FAIL: release golden-mini manifest differs from the committed golden"; exit 1; }
+echo "OK: the release build regenerates the committed golden-mini manifest"
 
 echo "validating the manifest and corner-label files..."
 python3 - "$work/a" <<'EOF'
