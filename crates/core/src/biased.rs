@@ -130,7 +130,7 @@ pub struct BiasedResume {
 /// after every round; an error from the hook aborts training. Resuming an
 /// interrupted run via `resume` reproduces **bit-identical** final weights
 /// to the uninterrupted run, because every RNG stream is part of the
-/// captured state (see [`mgd::train_resumable`]).
+/// captured state (see [`crate::mgd::train_resumable`]).
 ///
 /// This is a thin wrapper that moves the network through a
 /// [`TrainSession`] for the duration of the run; multi-round callers that

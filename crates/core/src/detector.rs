@@ -284,8 +284,7 @@ impl HotspotDetector {
             let mut flat = vec![0.0f32; block.min(slice.len()).max(1) * feat_len];
             for chunk in slice.chunks(block) {
                 for (clip, dst) in chunk.iter().zip(flat.chunks_exact_mut(feat_len)) {
-                    let feature = pipeline.extract(clip)?;
-                    dst.copy_from_slice(feature.as_slice());
+                    pipeline.extract_into(clip, dst)?;
                 }
                 let logits =
                     ex.infer_batch(net, &flat[..chunk.len() * feat_len], &in_shape, chunk.len());

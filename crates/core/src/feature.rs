@@ -2,10 +2,12 @@
 
 use crate::CoreError;
 use hotspot_datagen::Dataset;
-use hotspot_dct::{extract_feature_tensor, FeatureTensorSpec};
+use hotspot_dct::{blocks, BlockDctPlan, FeatureTensorSpec};
 use hotspot_geometry::{raster, Clip};
 use hotspot_nn::Tensor;
 use serde::{Deserialize, Serialize};
+use std::fmt;
+use std::sync::OnceLock;
 
 /// Converts layout clips into normalised CNN input tensors.
 ///
@@ -29,10 +31,32 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct FeaturePipeline {
     resolution_nm: u32,
     spec: FeatureTensorSpec,
+    /// Block plan for the block size of the first clip extracted, which
+    /// every clip of the same window size shares. Derived state: not
+    /// serialised, compared or printed.
+    #[serde(skip)]
+    plan: OnceLock<BlockDctPlan>,
+}
+
+impl PartialEq for FeaturePipeline {
+    fn eq(&self, other: &Self) -> bool {
+        (self.resolution_nm, self.spec) == (other.resolution_nm, other.spec)
+    }
+}
+
+impl Eq for FeaturePipeline {}
+
+impl fmt::Debug for FeaturePipeline {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FeaturePipeline")
+            .field("resolution_nm", &self.resolution_nm)
+            .field("spec", &self.spec)
+            .finish()
+    }
 }
 
 impl FeaturePipeline {
@@ -55,6 +79,7 @@ impl FeaturePipeline {
         Ok(FeaturePipeline {
             resolution_nm,
             spec: FeatureTensorSpec::new(grid_dim, coefficients)?,
+            plan: OnceLock::new(),
         })
     }
 
@@ -89,13 +114,42 @@ impl FeaturePipeline {
     /// divisible into the configured block grid (window size, resolution
     /// and grid dimension must be consistent).
     pub fn extract(&self, clip: &Clip) -> Result<Tensor, CoreError> {
-        let image = raster::rasterize_clip(&clip.normalized(), self.resolution_nm);
-        let tensor = extract_feature_tensor(&image, &self.spec)?;
-        let scale = 1.0 / tensor.block_size() as f32;
-        let n = self.grid_dim();
-        let k = self.coefficients();
-        let data = tensor.into_vec().into_iter().map(|v| v * scale).collect();
+        let (k, n) = (self.coefficients(), self.grid_dim());
+        let mut data = vec![0.0f32; k * n * n];
+        self.extract_into(clip, &mut data)?;
         Ok(Tensor::from_vec(vec![k, n, n], data))
+    }
+
+    /// Writes the normalised feature tensor of one clip into `out`
+    /// (channel-major, length `k · n · n`), bit-identical to
+    /// [`FeaturePipeline::extract`] — which calls it — without allocating
+    /// the tensor. The raster is read in place by the truncated block
+    /// kernel ([`BlockDctPlan`]), which writes each coefficient already
+    /// scaled by `1 / B`.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Feature`] as for [`FeaturePipeline::extract`], and
+    /// when `out` is not exactly one tensor long.
+    pub fn extract_into(&self, clip: &Clip, out: &mut [f32]) -> Result<(), CoreError> {
+        // `rasterize_clip` already places the window's low corner at pixel
+        // (0, 0), so the clip needs no normalised copy.
+        let image = raster::rasterize_clip(clip, self.resolution_nm);
+        let n = self.grid_dim();
+        let b = blocks::block_size(&image, n)?;
+        let fresh;
+        let plan = match self.plan.get() {
+            Some(plan) if plan.block_size() == b => plan,
+            cached => {
+                fresh = BlockDctPlan::new(b, self.coefficients())?;
+                if cached.is_none() {
+                    let _ = self.plan.set(fresh.clone());
+                }
+                &fresh
+            }
+        };
+        plan.tensor_into(&image, n, 1.0 / b as f32, out)?;
+        Ok(())
     }
 
     /// Extracts features and boolean labels for a whole dataset, in order.

@@ -446,9 +446,22 @@ fn window_feature_into(
     let n = grid_dim;
     debug_assert_eq!(data.len(), k * n * n, "window feature slice length");
     let scale = 1.0 / b as f32;
+    let width = layout_raster.width();
+    if x_px + n * b > width
+        || y_px < raster_y0_px
+        || y_px + n * b > raster_y0_px + layout_raster.height()
+    {
+        return Err(CoreError::InvalidConfig(
+            "scan window leaves its raster strip",
+        ));
+    }
+    let pixels = layout_raster.as_slice();
+    // The kernel reads block (x, y) in place, rows `width` apart.
+    let corner = |x: usize, y: usize| (y - raster_y0_px) * width + x;
     let aligned = x_px.is_multiple_of(b) && y_px.is_multiple_of(b);
     for j in 0..n {
         for i in 0..n {
+            let cell = &mut data[j * n + i..];
             if aligned {
                 let key = (x_px / b + i, y_px / b + j);
                 let coeffs: &Vec<f32> = match cache.entry(key) {
@@ -457,25 +470,20 @@ fn window_feature_into(
                         entry.into_mut()
                     }
                     std::collections::hash_map::Entry::Vacant(entry) => {
-                        let crop = layout_raster.window(key.0 * b, key.1 * b - raster_y0_px, b, b);
-                        let mut coeffs = plan.coefficients_for(&crop)?;
-                        for c in coeffs.iter_mut() {
-                            *c *= scale;
-                        }
+                        let mut coeffs = vec![0.0f32; k];
+                        let block = &pixels[corner(key.0 * b, key.1 * b)..];
+                        plan.transform_into(block, width, scale, &mut coeffs, 1);
                         stats.computed += 1;
                         entry.insert(coeffs)
                     }
                 };
                 for c in 0..k {
-                    data[(c * n + j) * n + i] = coeffs[c];
+                    cell[c * n * n] = coeffs[c];
                 }
             } else {
-                let crop = layout_raster.window(x_px + i * b, y_px + j * b - raster_y0_px, b, b);
-                let coeffs = plan.coefficients_for(&crop)?;
+                let block = &pixels[corner(x_px + i * b, y_px + j * b)..];
+                plan.transform_into(block, width, scale, cell, n * n);
                 stats.computed += 1;
-                for (c, &v) in coeffs.iter().enumerate() {
-                    data[(c * n + j) * n + i] = v * scale;
-                }
             }
         }
     }

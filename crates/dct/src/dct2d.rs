@@ -1,9 +1,12 @@
-//! 2-D DCT via a precomputed orthonormal basis matrix.
+//! Full 2-D DCT via a precomputed orthonormal basis matrix.
 //!
 //! The naive 2-D DCT is O(B⁴) per block; the separable form used here —
-//! `D = C · X · Cᵀ` with a precomputed basis `C` — is O(B³) and vectorises
-//! well, which matters because feature extraction runs over every block of
-//! every clip in a benchmark (the criterion bench `dct` quantifies the gap).
+//! `D = C · X · Cᵀ` with a precomputed basis `C` — is O(B³). [`Dct2d`] is
+//! the full-spectrum **reference** transform and the reconstruction path
+//! ([`Dct2d::inverse`]). Feature extraction does not call it: it keeps only
+//! the first `k` zig-zag coefficients of each block, and
+//! [`crate::BlockDctPlan`] computes exactly those with the same sums in the
+//! same order, bit-identical to [`Dct2d::forward`] followed by truncation.
 
 use crate::DctError;
 use hotspot_geometry::Grid;
@@ -36,6 +39,22 @@ pub struct Dct2d {
     basis: Vec<f32>,
 }
 
+/// Fills `row` (length `size`) with the orthonormal DCT-II basis of
+/// frequency `k`: `row[x] = s(k) cos(π (x+½) k / B)`, computed in `f64` and
+/// rounded once. [`Dct2d`] and [`crate::BlockDctPlan`] both build their
+/// tables here, so they multiply by the same `f32` weights.
+pub(crate) fn basis_row(size: usize, k: usize, row: &mut [f32]) {
+    let nf = size as f64;
+    let scale = if k == 0 {
+        (1.0 / nf).sqrt()
+    } else {
+        (2.0 / nf).sqrt()
+    };
+    for (x, w) in row.iter_mut().enumerate() {
+        *w = (scale * (std::f64::consts::PI * (x as f64 + 0.5) * k as f64 / nf).cos()) as f32;
+    }
+}
+
 impl Dct2d {
     /// Builds a plan for `size × size` blocks.
     ///
@@ -46,19 +65,9 @@ impl Dct2d {
         if size == 0 {
             return Err(DctError::ZeroDimension);
         }
-        let nf = size as f64;
         let mut basis = vec![0.0f32; size * size];
         for k in 0..size {
-            let scale = if k == 0 {
-                (1.0 / nf).sqrt()
-            } else {
-                (2.0 / nf).sqrt()
-            };
-            for x in 0..size {
-                basis[k * size + x] = (scale
-                    * (std::f64::consts::PI * (x as f64 + 0.5) * k as f64 / nf).cos())
-                    as f32;
-            }
+            basis_row(size, k, &mut basis[k * size..(k + 1) * size]);
         }
         Ok(Dct2d { size, basis })
     }
@@ -238,6 +247,16 @@ mod tests {
             b,
             (0..b * b).map(|v| ((v * 13 + 7) % 17) as f32).collect(),
         )
+    }
+
+    #[test]
+    fn basis_has_no_exact_zeros() {
+        // `basis_times` skips zero weights; the truncated kernel does not
+        // need to, because there are none to skip.
+        for b in 1..=64 {
+            let plan = Dct2d::new(b).unwrap();
+            assert!(plan.basis.iter().all(|&w| w != 0.0), "b={b}");
+        }
     }
 
     #[test]

@@ -8,6 +8,14 @@
 //! 3. zig-zag scan the coefficients ([`zigzag`]);
 //! 4. keep only the first `k` coefficients per block ([`tensor`]).
 //!
+//! Production extraction fuses steps 1–4 into one truncated kernel,
+//! [`BlockDctPlan`]: it reads each block in place from the image, runs the
+//! row and column passes only for the frequencies the kept coefficients
+//! use, and writes the `k` values straight into the channel-major tensor.
+//! Its results are bit-identical to the full reference transform
+//! [`Dct2d::forward`] followed by zig-zag truncation, which stays public as
+//! the oracle and, through [`Dct2d::inverse`], the reconstruction path.
+//!
 //! Because the DCT concentrates Manhattan-layout energy in the low
 //! frequencies, truncation loses little information, and the blockwise
 //! arrangement preserves the spatial relationship between sub-regions — the
@@ -75,6 +83,13 @@ pub enum DctError {
         /// Block capacity `B × B`.
         available: usize,
     },
+    /// An output buffer does not hold exactly one feature tensor.
+    BufferLength {
+        /// Required length `k · n · n`.
+        expected: usize,
+        /// Length of the buffer passed in.
+        actual: usize,
+    },
 }
 
 impl fmt::Display for DctError {
@@ -95,6 +110,10 @@ impl fmt::Display for DctError {
             } => write!(
                 f,
                 "requested {requested} coefficients but block holds only {available}"
+            ),
+            DctError::BufferLength { expected, actual } => write!(
+                f,
+                "feature buffer holds {actual} values but the tensor needs {expected}"
             ),
         }
     }

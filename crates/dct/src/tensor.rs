@@ -1,6 +1,6 @@
 //! Feature-tensor extraction and reconstruction (the paper's Section 3).
 
-use crate::{blocks, zigzag, Dct2d, DctError};
+use crate::{blocks, dct2d, zigzag, Dct2d, DctError};
 use hotspot_geometry::Grid;
 use serde::{Deserialize, Serialize};
 
@@ -114,21 +114,68 @@ impl FeatureTensor {
     }
 }
 
-/// A reusable one-block DCT → zig-zag truncation plan.
+/// Accumulator lanes per kernel pass: the row transform of one pass
+/// produces this many horizontal frequencies at once.
+const LANES: usize = 8;
+
+/// Most vertical frequencies one kernel pass accumulates.
+const MAX_VERTICALS: usize = 16;
+
+/// Pixel rows whose row-pass results the kernel holds at once.
+const ROWS: usize = 16;
+
+/// A reusable truncated block-DCT plan: the first `k` zig-zag coefficients
+/// of a `B × B` block, and nothing else.
 ///
-/// This factors the per-block inner loop of [`extract_feature_tensor`] out
-/// so callers that visit blocks in a custom order — the full-layout scan
-/// cache in `hotspot-core`, which shares block coefficients between
-/// overlapping windows — can transform one `B × B` block at a time while
-/// staying **bit-identical** to whole-image extraction:
-/// [`BlockDctPlan::coefficients_for`] performs the same [`Dct2d::forward`]
-/// call and the same first-`k` zig-zag copies, in the same order.
+/// This is the forward kernel behind every feature tensor
+/// ([`extract_feature_tensor`], `hotspot-core`'s `FeaturePipeline` and its
+/// full-layout scan cache). [`BlockDctPlan::transform_into`] reads a block
+/// in place from a raster slice and writes its `k` coefficients, already
+/// scaled, wherever the caller wants them, without allocating.
+///
+/// The plan computes only what the kept coefficients need: the row pass
+/// runs for the horizontal frequencies `zigzag_indices(B)[..k]` uses and
+/// the column pass for the vertical ones (8 and 7 of 10 at `B = 10`,
+/// `k = 32`). Each coefficient is still the sum [`Dct2d::forward`] forms,
+/// with the same products added in the same order, so the results are
+/// **bit-identical** to the full transform followed by truncation:
+///
+/// - row pass: `t[r][h] = Σ_x X[r][x] · C[h][x]` from `0.0`, `x` ascending;
+/// - column pass: `D[v][h] = Σ_r C[v][r] · t[r][h]` from `0.0`, `r`
+///   ascending;
+/// - every multiply and add rounds separately (no FMA). Each accumulator
+///   is one lane of a fixed-width array, so vectorising across frequencies
+///   never reassociates a sum.
+///
+/// Rows whose pixels are all `±0.0` are skipped, and an all-zero block
+/// writes `+0.0 · scale` for every coefficient without running either
+/// pass. Both are exact: every product with such a row is `±0`, a sum
+/// that starts at `+0.0` is never `-0.0`, and adding `±0` to it changes
+/// nothing. (The reference also skips zero basis weights; the basis has
+/// none.)
 #[derive(Debug, Clone)]
 pub struct BlockDctPlan {
     block_size: usize,
     coefficients: usize,
-    plan: Dct2d,
-    order: Vec<(usize, usize)>,
+    passes: Vec<Pass>,
+}
+
+/// One kernel pass: up to [`LANES`] horizontal frequencies, up to
+/// [`MAX_VERTICALS`] vertical frequencies, and the kept coefficients in
+/// their product.
+#[derive(Debug, Clone)]
+struct Pass {
+    /// `rows[x][l]`: basis weight of the pass's `l`-th horizontal frequency
+    /// at pixel column `x` (unused lanes are zero).
+    rows: Vec<[f32; LANES]>,
+    /// `cols[i * B + r]`: basis weight of the pass's `i`-th vertical
+    /// frequency at pixel row `r`.
+    cols: Vec<f32>,
+    verticals: usize,
+    /// `(zig-zag position, slot · LANES + lane)` of each kept coefficient
+    /// this pass produces: where its sum sits in the flattened
+    /// accumulators.
+    picks: Vec<(usize, usize)>,
 }
 
 impl BlockDctPlan {
@@ -140,20 +187,69 @@ impl BlockDctPlan {
     /// - [`DctError::ZeroDimension`] if either parameter is zero.
     /// - [`DctError::TooManyCoefficients`] if `coefficients > B × B`.
     pub fn new(block_size: usize, coefficients: usize) -> Result<Self, DctError> {
-        if block_size == 0 || coefficients == 0 {
+        let b = block_size;
+        if b == 0 || coefficients == 0 {
             return Err(DctError::ZeroDimension);
         }
-        if coefficients > block_size * block_size {
+        if coefficients > b * b {
             return Err(DctError::TooManyCoefficients {
                 requested: coefficients,
-                available: block_size * block_size,
+                available: b * b,
             });
         }
+        let order = zigzag::zigzag_indices(b);
+        let kept = &order[..coefficients];
+        let mut basis = vec![0.0f32; b * b];
+        for (f, row) in basis.chunks_exact_mut(b).enumerate() {
+            dct2d::basis_row(b, f, row);
+        }
+        let basis_row = |f: usize| &basis[f * b..(f + 1) * b];
+        let distinct = |mut fs: Vec<usize>| {
+            fs.sort_unstable();
+            fs.dedup();
+            fs
+        };
+        let horizontals = distinct(kept.iter().map(|&(h, _)| h).collect());
+        let mut passes = Vec::new();
+        for hs in horizontals.chunks(LANES) {
+            let verticals = distinct(
+                kept.iter()
+                    .filter(|(h, _)| hs.contains(h))
+                    .map(|&(_, v)| v)
+                    .collect(),
+            );
+            for vs in verticals.chunks(MAX_VERTICALS) {
+                let rows = (0..b)
+                    .map(|x| {
+                        let mut lanes = [0.0f32; LANES];
+                        for (lane, &h) in lanes.iter_mut().zip(hs) {
+                            *lane = basis_row(h)[x];
+                        }
+                        lanes
+                    })
+                    .collect();
+                let cols = vs.iter().flat_map(|&v| basis_row(v)).copied().collect();
+                let picks = kept
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(c, (h, v))| {
+                        let lane = hs.iter().position(|f| f == h)?;
+                        let slot = vs.iter().position(|f| f == v)?;
+                        Some((c, slot * LANES + lane))
+                    })
+                    .collect();
+                passes.push(Pass {
+                    rows,
+                    cols,
+                    verticals: vs.len(),
+                    picks,
+                });
+            }
+        }
         Ok(BlockDctPlan {
-            block_size,
+            block_size: b,
             coefficients,
-            plan: Dct2d::new(block_size)?,
-            order: zigzag::zigzag_indices(block_size),
+            passes,
         })
     }
 
@@ -175,11 +271,143 @@ impl BlockDctPlan {
     ///
     /// Returns [`DctError::BlockMismatch`] if `block` is not `B × B`.
     pub fn coefficients_for(&self, block: &Grid<f32>) -> Result<Vec<f32>, DctError> {
-        let coeffs = self.plan.forward(block)?;
-        Ok(self.order[..self.coefficients]
-            .iter()
-            .map(|&(x, y)| coeffs[(x, y)])
-            .collect())
+        let b = self.block_size;
+        if block.width() != b || block.height() != b {
+            return Err(DctError::BlockMismatch {
+                width: block.width(),
+                height: block.height(),
+                grid_dim: b,
+            });
+        }
+        let mut out = vec![0.0f32; self.coefficients];
+        self.transform_into(block.as_slice(), b, 1.0, &mut out, 1);
+        Ok(out)
+    }
+
+    /// The kernel: transforms the `B × B` block whose top-left pixel is
+    /// `pixels[0]`, with rows `stride` pixels apart, and writes zig-zag
+    /// coefficient `c` multiplied by `scale` to `out[c * out_stride]`.
+    ///
+    /// A block of a row-major raster `w` pixels wide starts at
+    /// `&raster[y * w + x..]` with `stride = w`. `out_stride = n · n`
+    /// writes into the `c`-th channel of an `n × n` channel-major tensor
+    /// (slice it at the block's cell `j · n + i`); `out_stride = 1` writes
+    /// the coefficients contiguously.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pixels` ends before the block's last pixel or `out`
+    /// before coefficient `k - 1`'s slot.
+    pub fn transform_into(
+        &self,
+        pixels: &[f32],
+        stride: usize,
+        scale: f32,
+        out: &mut [f32],
+        out_stride: usize,
+    ) {
+        let b = self.block_size;
+        let pixels = &pixels[..(b - 1) * stride + b];
+        let out = &mut out[..(self.coefficients - 1) * out_stride + 1];
+        // Branch-free test for a row of ±0.0 pixels (an OR of the bits
+        // below the sign), which LLVM vectorises.
+        let blank = |r: usize| {
+            let row = &pixels[r * stride..r * stride + b];
+            row.iter().fold(0, |bits, &p| bits | (p.to_bits() << 1)) == 0
+        };
+        if (0..b).all(blank) {
+            for c in 0..self.coefficients {
+                out[c * out_stride] = 0.0 * scale;
+            }
+            return;
+        }
+        for pass in &self.passes {
+            let mut acc = [[0.0f32; LANES]; MAX_VERTICALS];
+            let acc = &mut acc[..pass.verticals];
+            for r0 in (0..b).step_by(ROWS) {
+                // Row pass over the nonzero rows of this group, keeping
+                // each row's horizontal frequencies in `t`. Finishing the
+                // rows before the column pass (rather than feeding each row
+                // straight in) is what lets LLVM vectorise both passes
+                // across lanes.
+                let mut t = [[0.0f32; LANES]; ROWS];
+                let mut live = [0usize; ROWS];
+                let mut count = 0;
+                for r in r0..b.min(r0 + ROWS) {
+                    if blank(r) {
+                        continue;
+                    }
+                    let row = &pixels[r * stride..r * stride + b];
+                    let mut sums = [0.0f32; LANES];
+                    for (&p, weights) in row.iter().zip(&pass.rows) {
+                        for l in 0..LANES {
+                            sums[l] += p * weights[l];
+                        }
+                    }
+                    t[count] = sums;
+                    live[count] = r;
+                    count += 1;
+                }
+                // Column pass: one vertical frequency at a time, rows
+                // ascending, all lanes side by side.
+                for (lanes, cols) in acc.iter_mut().zip(pass.cols.chunks_exact(b)) {
+                    let mut sums = *lanes;
+                    for (row, &r) in t[..count].iter().zip(&live[..count]) {
+                        let w = cols[r];
+                        for l in 0..LANES {
+                            sums[l] += w * row[l];
+                        }
+                    }
+                    *lanes = sums;
+                }
+            }
+            let sums = acc.as_flattened();
+            for &(c, at) in &pass.picks {
+                out[c * out_stride] = sums[at] * scale;
+            }
+        }
+    }
+
+    /// Writes the feature tensor of `image`, an `n × n` grid of this
+    /// plan's blocks, into `out` channel-major (`out[(c·n + j)·n + i]` is
+    /// coefficient `c` of block `(i, j)`), each value multiplied by
+    /// `scale`.
+    ///
+    /// # Errors
+    ///
+    /// - [`DctError::BlockMismatch`] if `image` is not `n·B × n·B`.
+    /// - [`DctError::BufferLength`] if `out.len() != k · n · n`.
+    pub fn tensor_into(
+        &self,
+        image: &Grid<f32>,
+        grid_dim: usize,
+        scale: f32,
+        out: &mut [f32],
+    ) -> Result<(), DctError> {
+        let (b, n) = (self.block_size, grid_dim);
+        let side = n * b;
+        if n == 0 || image.width() != side || image.height() != side {
+            return Err(DctError::BlockMismatch {
+                width: image.width(),
+                height: image.height(),
+                grid_dim: n,
+            });
+        }
+        let expected = self.coefficients * n * n;
+        if out.len() != expected {
+            return Err(DctError::BufferLength {
+                expected,
+                actual: out.len(),
+            });
+        }
+        let pixels = image.as_slice();
+        for j in 0..n {
+            for i in 0..n {
+                let corner = j * b * side + i * b;
+                self.transform_into(&pixels[corner..], side, scale, &mut out[j * n + i..], n * n);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -187,7 +415,8 @@ impl BlockDctPlan {
 ///
 /// Implements paper Steps 1–4: block division, per-block 2-D DCT, zig-zag
 /// flattening, truncation to the first `k` coefficients, reassembled with
-/// spatial relationships unchanged.
+/// spatial relationships unchanged — through [`BlockDctPlan`], which
+/// computes only the kept coefficients.
 ///
 /// # Errors
 ///
@@ -219,24 +448,9 @@ pub fn extract_feature_tensor(
     let n = spec.grid_dim;
     let k = spec.coefficients;
     let b = blocks::block_size(image, n)?;
-    if k > b * b {
-        return Err(DctError::TooManyCoefficients {
-            requested: k,
-            available: b * b,
-        });
-    }
-    let plan = Dct2d::new(b)?;
-    let order = zigzag::zigzag_indices(b);
+    let plan = BlockDctPlan::new(b, k)?;
     let mut data = vec![0.0f32; k * n * n];
-    for j in 0..n {
-        for i in 0..n {
-            let block = image.window(i * b, j * b, b, b);
-            let coeffs = plan.forward(&block)?;
-            for (c, &(x, y)) in order[..k].iter().enumerate() {
-                data[(c * n + j) * n + i] = coeffs[(x, y)];
-            }
-        }
-    }
+    plan.tensor_into(image, n, 1.0, &mut data)?;
     Ok(FeatureTensor {
         grid_dim: n,
         coefficients: k,
@@ -433,6 +647,94 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn paper_plan_transforms_only_the_kept_frequencies() {
+        // B = 10, k = 32: the first 32 zig-zag cells use horizontal
+        // frequencies 0..8 and vertical frequencies 0..7 — one pass.
+        let plan = BlockDctPlan::new(10, 32).unwrap();
+        assert_eq!(plan.passes.len(), 1);
+        let pass = &plan.passes[0];
+        assert_eq!(pass.verticals, 7);
+        assert!(pass
+            .rows
+            .iter()
+            .all(|lanes| lanes.iter().all(|&w| w != 0.0)));
+        assert_eq!(pass.picks.len(), 32);
+        // All 100 coefficients: horizontals split over two passes.
+        let full = BlockDctPlan::new(10, 100).unwrap();
+        assert_eq!(full.passes.len(), 2);
+        let picks: usize = full.passes.iter().map(|p| p.picks.len()).sum();
+        assert_eq!(picks, 100);
+    }
+
+    #[test]
+    fn large_blocks_match_the_full_transform_across_row_groups_and_passes() {
+        // B = 37 needs three row groups, five horizontal passes and, at
+        // k = B², three vertical chunks per pass.
+        let b = 37;
+        let img = Grid::from_vec(
+            b,
+            b,
+            (0..b * b)
+                .map(|v| match v % 11 {
+                    0..=4 => 0.0,
+                    5 => -0.0,
+                    6 => 1.0,
+                    k => (k as f32 - 8.5) / 3.0,
+                })
+                .collect(),
+        );
+        let full = Dct2d::new(b).unwrap().forward(&img).unwrap();
+        let want: Vec<u32> = zigzag::zigzag_indices(b)
+            .iter()
+            .map(|&(x, y)| full[(x, y)].to_bits())
+            .collect();
+        for k in [1, 40, 700, b * b] {
+            let got = BlockDctPlan::new(b, k)
+                .unwrap()
+                .coefficients_for(&img)
+                .unwrap();
+            let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want[..k], "k={k}");
+        }
+    }
+
+    #[test]
+    fn kernel_reads_in_place_and_writes_strided() {
+        let img = stripes(24, 3);
+        let plan = BlockDctPlan::new(4, 9).unwrap();
+        let want = plan.coefficients_for(&img.window(8, 12, 4, 4)).unwrap();
+        let mut out = [f32::NAN; 9 * 5];
+        plan.transform_into(&img.as_slice()[12 * 24 + 8..], 24, 0.5, &mut out[2..], 5);
+        for (c, &v) in want.iter().enumerate() {
+            assert_eq!(
+                out[2 + c * 5].to_bits(),
+                (v * 0.5).to_bits(),
+                "coefficient {c}"
+            );
+        }
+        assert!(out[3].is_nan(), "slots between strides stay untouched");
+    }
+
+    #[test]
+    fn tensor_into_checks_shapes() {
+        let img = stripes(24, 3);
+        let plan = BlockDctPlan::new(4, 9).unwrap();
+        let mut out = vec![0.0f32; 9 * 36];
+        assert!(plan.tensor_into(&img, 6, 1.0, &mut out).is_ok());
+        assert!(matches!(
+            plan.tensor_into(&img, 5, 1.0, &mut out),
+            Err(DctError::BlockMismatch { .. })
+        ));
+        assert_eq!(
+            plan.tensor_into(&img, 6, 1.0, &mut out[1..]),
+            Err(DctError::BufferLength {
+                expected: 324,
+                actual: 323
+            })
+        );
     }
 
     #[test]

@@ -2,13 +2,49 @@
 
 use hotspot_dct::{
     blocks, dct1d, extract_feature_tensor, reconstruct_image, zigzag_indices, zigzag_scan,
-    zigzag_unscan, Dct2d, FeatureTensorSpec,
+    zigzag_unscan, BlockDctPlan, Dct2d, FeatureTensorSpec,
 };
 use hotspot_geometry::Grid;
 use proptest::prelude::*;
 
 fn arb_signal(len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-10.0f32..10.0, len)
+}
+
+/// An `n·B × n·B` image of the values feature extraction meets and its
+/// edge cases: exact `0.0` (most likely, as in layout rasters), `-0.0`,
+/// exact `1.0`, fractional coverage and negatives, with roughly a third of
+/// the blocks all zero.
+fn arb_mixed_image() -> impl Strategy<Value = (usize, usize, Grid<f32>)> {
+    (1usize..=16, 1usize..=4).prop_flat_map(|(b, n)| {
+        let side = n * b;
+        (
+            Just(b),
+            Just(n),
+            proptest::collection::vec((0u8..7, 0.0f32..1.0), side * side),
+            proptest::collection::vec(0u8..3, n * n),
+        )
+            .prop_map(move |(b, n, pixels, blank)| {
+                let values = pixels
+                    .into_iter()
+                    .enumerate()
+                    .map(|(idx, (kind, frac))| {
+                        let (x, y) = (idx % side, idx / side);
+                        if blank[(y / b) * n + x / b] == 0 {
+                            return 0.0;
+                        }
+                        match kind {
+                            0..=2 => 0.0,
+                            3 => -0.0,
+                            4 => 1.0,
+                            5 => frac,
+                            _ => -4.0 * frac,
+                        }
+                    })
+                    .collect();
+                (b, n, Grid::from_vec(side, side, values))
+            })
+    })
 }
 
 proptest! {
@@ -114,5 +150,36 @@ proptest! {
         let kept: f64 = t.as_slice().iter().map(|&x| (x as f64).powi(2)).sum();
         let total: f64 = img.iter().map(|&x| (x as f64).powi(2)).sum();
         prop_assert!(kept <= total + 1e-3);
+    }
+
+    #[test]
+    fn truncated_kernel_is_bit_identical_to_full_transform(
+        (b, n, img) in arb_mixed_image()
+    ) {
+        // Reference: crop → full `Dct2d::forward` → zig-zag order.
+        let full = Dct2d::new(b).unwrap();
+        let order = zigzag_indices(b);
+        let mut reference = Vec::new();
+        for j in 0..n {
+            for i in 0..n {
+                let coeffs = full.forward(&img.window(i * b, j * b, b, b)).unwrap();
+                reference.push(order.iter().map(|&(x, y)| coeffs[(x, y)]).collect::<Vec<_>>());
+            }
+        }
+        for k in 1..=b * b {
+            let tensor = extract_feature_tensor(&img, &FeatureTensorSpec::new(n, k).unwrap())
+                .unwrap();
+            let plan = BlockDctPlan::new(b, k).unwrap();
+            for j in 0..n {
+                for i in 0..n {
+                    let want = &reference[j * n + i][..k];
+                    let block = plan.coefficients_for(&img.window(i * b, j * b, b, b)).unwrap();
+                    for c in 0..k {
+                        prop_assert_eq!(block[c].to_bits(), want[c].to_bits());
+                        prop_assert_eq!(tensor.coefficient(i, j, c).to_bits(), want[c].to_bits());
+                    }
+                }
+            }
+        }
     }
 }

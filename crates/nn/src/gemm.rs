@@ -22,7 +22,7 @@
 //! # Kernel dispatch
 //!
 //! Each public entry point validates its arguments, then jumps through a
-//! process-wide [`KernelTable`] resolved **once** (on first GEMM call) by
+//! process-wide `KernelTable` resolved **once** (on first GEMM call) by
 //! [`kernel_backend`]:
 //!
 //! * [`KernelBackend::Avx512`] — 8×32 register-tiled FMA micro-kernel on
@@ -580,7 +580,7 @@ pub mod scalar {
     }
 
     /// Scalar batched matrix-vector products; loop nest inverted so each
-    /// weight row streams once per block. Reduces with [`dot`], matching
+    /// weight row streams once per block. Reduces with `dot`, matching
     /// the `n = 1` path of [`gemm_nt`] bit-for-bit.
     pub fn gemm_nt_batched(m: usize, batch: usize, k: usize, a: &[f32], xs: &[f32], c: &mut [f32]) {
         for i in 0..m {

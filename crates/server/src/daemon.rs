@@ -13,6 +13,7 @@
 
 use crate::engine::{Control, Engine, EngineConfig, ServeModel, DEFAULT_QUEUE_CAPACITY};
 use crate::ServerError;
+use hotspot_core::api::{ApiError, ErrorKind};
 use std::fs;
 use std::io::{self, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -26,6 +27,13 @@ const POLL_INTERVAL: Duration = Duration::from_millis(5);
 
 /// Read timeout on connection sockets, so idle readers notice shutdown.
 const READ_POLL: Duration = Duration::from_millis(100);
+
+/// Longest request line the daemon accepts, newline excluded: 1 MiB.
+/// The largest request the repository's own tools send, the inline
+/// 3 × 3-tile layout `scan` of `tools/serve_smoke.sh`, is 1,769 bytes, so
+/// the cap leaves 592× headroom; a 30 × 30-tile layout (268,729 bytes)
+/// still fits. It bounds what one client can make the daemon buffer.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Daemon configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -140,36 +148,71 @@ impl Server {
     }
 }
 
+/// Removes the first complete line from `buf` and returns it without its
+/// newline. Only bytes from `*searched` on are scanned; the rest were
+/// scanned by an earlier call, so framing a line costs time linear in its
+/// length however many reads deliver it.
+fn take_line(buf: &mut Vec<u8>, searched: &mut usize) -> Option<Vec<u8>> {
+    match buf[*searched..].iter().position(|&b| b == b'\n') {
+        Some(pos) => {
+            let end = *searched + pos;
+            *searched = 0;
+            let mut line: Vec<u8> = buf.drain(..=end).collect();
+            line.pop();
+            Some(line)
+        }
+        None => {
+            *searched = buf.len();
+            None
+        }
+    }
+}
+
+/// Writes one reply line; `false` when the peer is gone.
+fn write_reply(mut writer: &UnixStream, reply: &str) -> bool {
+    writer.write_all(reply.as_bytes()).is_ok()
+        && writer.write_all(b"\n").is_ok()
+        && writer.flush().is_ok()
+}
+
 /// Reads newline-delimited request lines, writes one reply line each.
+/// A line longer than [`MAX_LINE_BYTES`] — complete or not — gets a
+/// structured `data` error and the connection is closed.
 fn handle_connection(engine: &Engine, stream: UnixStream) {
     if stream.set_read_timeout(Some(READ_POLL)).is_err() {
         return;
     }
     let mut reader = &stream;
-    let mut writer = &stream;
     let mut buf: Vec<u8> = Vec::new();
+    let mut searched = 0;
     let mut chunk = [0u8; 4096];
+    let refuse = || {
+        let error = ApiError::new(
+            ErrorKind::Data,
+            format!("request line exceeds {MAX_LINE_BYTES} bytes; closing the connection"),
+        );
+        write_reply(&stream, &engine.error_reply(None, error));
+    };
     loop {
         match reader.read(&mut chunk) {
             Ok(0) => return,
             Ok(n) => {
                 buf.extend_from_slice(&chunk[..n]);
-                while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = buf.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&line[..line.len() - 1]);
+                while let Some(line) = take_line(&mut buf, &mut searched) {
+                    if line.len() > MAX_LINE_BYTES {
+                        return refuse();
+                    }
+                    let line = String::from_utf8_lossy(&line);
                     if line.trim().is_empty() {
                         continue;
                     }
                     let (reply, control) = engine.handle_line(&line);
-                    if writer.write_all(reply.as_bytes()).is_err()
-                        || writer.write_all(b"\n").is_err()
-                        || writer.flush().is_err()
-                    {
+                    if !write_reply(&stream, &reply) || control == Control::Shutdown {
                         return;
                     }
-                    if control == Control::Shutdown {
-                        return;
-                    }
+                }
+                if buf.len() > MAX_LINE_BYTES {
+                    return refuse();
                 }
             }
             Err(e)
@@ -225,10 +268,10 @@ impl ClientConn {
 
     fn read_line(&mut self) -> io::Result<String> {
         let mut chunk = [0u8; 4096];
+        let mut searched = 0;
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = self.buf.drain(..=pos).collect();
-                return Ok(String::from_utf8_lossy(&line[..line.len() - 1]).into_owned());
+            if let Some(line) = take_line(&mut self.buf, &mut searched) {
+                return Ok(String::from_utf8_lossy(&line).into_owned());
             }
             let n = self.stream.read(&mut chunk)?;
             if n == 0 {

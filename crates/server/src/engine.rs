@@ -8,12 +8,13 @@
 //! # Micro-batching
 //!
 //! `predict` requests do not score inline. The connection thread extracts
-//! the feature tensors (CPU-parallel across connections), snapshots the
-//! serving model, and pushes one [`PredictJob`] onto a **bounded** queue;
-//! a single batcher thread drains *everything* queued at once, groups the
-//! jobs by model snapshot, concatenates their features and scores each
-//! group through one ragged batched inference call
-//! ([`BatchScorer::infer_ragged`]). Two clients that arrive within one
+//! the feature tensors straight into the job's buffer (CPU-parallel across
+//! connections), snapshots the serving model, and pushes one predict job
+//! onto a **bounded** queue; a single batcher thread drains *everything*
+//! queued at once, groups the jobs by model snapshot, concatenates their
+//! features and scores each group through one ragged batched inference
+//! call ([`BatchScorer::infer_ragged`]) on the engine's one scorer, whose
+//! plans persist across drain cycles. Two clients that arrive within one
 //! drain cycle therefore share GEMM blocks. Batched inference is
 //! composition-independent (pinned in `hotspot-nn`), so coalescing never
 //! changes a score: every reply is bit-identical to offline
@@ -228,6 +229,9 @@ pub struct Engine {
     /// Wakes shutdown waiters (queue empty and nothing in flight).
     drained: Condvar,
     capacity: usize,
+    /// The one batched scorer every drain cycle uses, so its per-size
+    /// plans and workspace persist (`run_batcher` and `drain_once` alike).
+    scorer: Mutex<BatchScorer>,
     start: Instant,
     requests: AtomicU64,
     predicts: AtomicU64,
@@ -253,6 +257,7 @@ impl Engine {
             work: Condvar::new(),
             drained: Condvar::new(),
             capacity: config.queue_capacity.max(1),
+            scorer: Mutex::new(BatchScorer::new()),
             start: Instant::now(),
             requests: AtomicU64::new(0),
             predicts: AtomicU64::new(0),
@@ -360,15 +365,19 @@ impl Engine {
         let model = self.current();
         let pipeline = model.detector().pipeline();
         let feat_len: usize = pipeline.input_shape().iter().product();
-        let mut features = Vec::with_capacity(req.clips.len() * feat_len);
-        for (i, spec) in req.clips.iter().enumerate() {
+        let mut features = vec![0.0f32; req.clips.len() * feat_len];
+        for (i, (spec, dst)) in req
+            .clips
+            .iter()
+            .zip(features.chunks_exact_mut(feat_len))
+            .enumerate()
+        {
             let clip = spec
                 .to_clip()
                 .map_err(|e| ApiError::new(ErrorKind::Data, format!("clip {i}: {e}")))?;
-            let tensor = pipeline
-                .extract(&clip)
+            pipeline
+                .extract_into(&clip, dst)
                 .map_err(|e| ApiError::new(ErrorKind::Data, format!("clip {i}: {e}")))?;
-            features.extend_from_slice(tensor.as_slice());
         }
         let (tx, rx) = mpsc::channel();
         let mut state = self.queue_state();
@@ -477,7 +486,8 @@ impl Engine {
         .render()
     }
 
-    fn error_reply(&self, id: Option<String>, e: ApiError) -> String {
+    /// Renders `e` as an error reply line and counts it.
+    pub(crate) fn error_reply(&self, id: Option<String>, e: ApiError) -> String {
         self.errors.fetch_add(1, Ordering::Relaxed);
         if e.kind == ErrorKind::Busy {
             self.rejected_busy.fetch_add(1, Ordering::Relaxed);
@@ -509,7 +519,6 @@ impl Engine {
     /// The batcher loop: drain everything queued, score it coalesced,
     /// repeat; exits once shutdown began *and* the queue is empty.
     pub fn run_batcher(&self) {
-        let mut scorer = BatchScorer::new();
         loop {
             let jobs = {
                 let mut state = self.queue_state();
@@ -531,7 +540,7 @@ impl Engine {
                 state.in_flight = jobs.len();
                 jobs
             };
-            self.process(&mut scorer, jobs);
+            self.process(jobs);
         }
     }
 
@@ -550,15 +559,20 @@ impl Engine {
             jobs
         };
         let n = jobs.len();
-        let mut scorer = BatchScorer::new();
-        self.process(&mut scorer, jobs);
+        self.process(jobs);
         n
     }
 
     /// Scores one drained job set: group by model snapshot (reload can
     /// leave mixed generations in the queue), coalesce each group into one
     /// ragged batched inference, reply per job.
-    fn process(&self, scorer: &mut BatchScorer, jobs: Vec<PredictJob>) {
+    fn process(&self, jobs: Vec<PredictJob>) {
+        let mut scorer = match self.scorer.lock() {
+            Ok(guard) => guard,
+            // Only the scoring pass holds this lock; a panic there leaves
+            // jobs unanswered and the drain protocol unrecoverable.
+            Err(_) => panic!("scorer mutex poisoned by a panicked daemon thread"),
+        };
         let mut groups: Vec<(Arc<ServeModel>, Vec<PredictJob>)> = Vec::new();
         for job in jobs {
             match groups
@@ -573,8 +587,9 @@ impl Engine {
             }
         }
         for (model, group) in groups {
-            self.score_group(scorer, &model, group);
+            self.score_group(&mut scorer, &model, group);
         }
+        drop(scorer);
         let mut state = self.queue_state();
         state.in_flight = 0;
         drop(state);
@@ -627,5 +642,49 @@ impl Engine {
             // A vanished client (closed connection) is not an error.
             let _ = job.reply.send(response.render());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hotspot_core::api::ClipSpec;
+    use hotspot_core::CnnConfig;
+    use hotspot_geometry::{Clip, Rect};
+    use hotspot_nn::serialize::ParameterBlob;
+
+    #[test]
+    fn drain_cycles_of_one_size_share_one_cached_plan() {
+        let mut net = CnnConfig {
+            input_grid: 12,
+            input_channels: 4,
+            ..CnnConfig::default()
+        }
+        .build();
+        let model = ModelFile {
+            resolution_nm: 10,
+            grid: 12,
+            k: 4,
+            blob: ParameterBlob::from_network(&mut net),
+        };
+        let engine = Engine::new(
+            ServeModel::from_parts(&model, None).unwrap(),
+            EngineConfig::default(),
+        );
+        let mut clip = Clip::new(Rect::new(0, 0, 1200, 1200).unwrap());
+        clip.push(Rect::new(100, 0, 300, 1200).unwrap());
+        let request = PredictRequest {
+            id: "p".into(),
+            clips: vec![ClipSpec::from_clip(&clip), ClipSpec::from_clip(&clip)],
+            threshold: 0.5,
+        };
+        let mut replies = Vec::new();
+        for _ in 0..2 {
+            let rx = engine.enqueue_predict(&request).unwrap();
+            assert_eq!(engine.drain_once(), 1);
+            replies.push(rx.recv().unwrap());
+        }
+        assert_eq!(replies[0], replies[1]);
+        assert_eq!(engine.scorer.lock().unwrap().cached_plans(), 1);
     }
 }

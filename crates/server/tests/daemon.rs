@@ -1,17 +1,23 @@
-//! End-to-end daemon test over a real Unix socket: concurrent client
+//! End-to-end daemon tests over a real Unix socket: concurrent client
 //! threads stream predicts while a reload lands mid-stream, and every
 //! reply must be bit-identical to the offline reference for whichever
-//! model generation served it (identified by the reply's provenance CRC).
+//! model generation served it (identified by the reply's provenance CRC);
+//! and a client that never ends its line is refused without disturbing
+//! the others.
 
 mod common;
 
+use hotspot_core::api::ErrorKind;
 use hotspot_core::api::{
     ClipSpec, ErrorReply, Json, ModelProvenance, PredictRequest, PredictResponse, ReloadRequest,
     ReloadResponse, Request, StatusResponse,
 };
 use hotspot_core::HotspotDetector;
 use hotspot_geometry::{Clip, Rect};
+use hotspot_server::daemon::MAX_LINE_BYTES;
 use hotspot_server::{client_roundtrip, ClientConn, ServeModel, Server, ServerConfig};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::os::unix::net::UnixStream;
 use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -207,4 +213,40 @@ fn concurrent_clients_stay_bit_identical_across_midstream_reload() {
     for path in [path_a, path_b, bad] {
         std::fs::remove_file(path).unwrap();
     }
+}
+
+#[test]
+fn overlong_unterminated_line_is_refused_while_other_connections_keep_serving() {
+    let model = ServeModel::from_parts(&common::model_with_seed(31, 4), None).unwrap();
+    let socket =
+        std::env::temp_dir().join(format!("hotspot-daemon-cap-{}.sock", std::process::id()));
+    let server = Server::bind(model, &ServerConfig::new(&socket)).unwrap();
+    let daemon = thread::spawn(move || server.run().unwrap());
+    wait_for_socket(&socket);
+
+    let status_line = Request::Status { id: "st".into() }.render();
+    let mut steady = ClientConn::connect(&socket).unwrap();
+    StatusResponse::parse(&steady.request(&status_line).unwrap()).unwrap();
+
+    // One byte past the cap and no newline: the daemon must answer with a
+    // structured data error instead of buffering on, then hang up.
+    let mut flood = UnixStream::connect(&socket).unwrap();
+    flood.write_all(&vec![b'x'; MAX_LINE_BYTES + 1]).unwrap();
+    let mut reader = BufReader::new(flood);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    let err = ErrorReply::parse(reply.trim_end()).unwrap();
+    assert_eq!(err.error.kind, ErrorKind::Data);
+    assert_eq!(err.id, None);
+    assert_eq!(reader.read(&mut [0u8; 16]).unwrap(), 0, "connection closed");
+
+    // The connection that was open all along and a new one both serve.
+    let status = StatusResponse::parse(&steady.request(&status_line).unwrap()).unwrap();
+    assert_eq!(status.counters.errors, 1);
+    StatusResponse::parse(&client_roundtrip(&socket, &status_line).unwrap()).unwrap();
+
+    let shutdown = Request::Shutdown { id: "bye".into() }.render();
+    client_roundtrip(&socket, &shutdown).unwrap();
+    drop(steady);
+    daemon.join().unwrap();
 }
