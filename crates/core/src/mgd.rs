@@ -252,8 +252,10 @@ pub struct TrainerState {
 ///
 /// Returns [`CoreError::DegenerateTrainingSet`] when fewer than 4 samples
 /// are provided or the feature/label lengths differ, and
-/// [`CoreError::InvalidConfig`] for a zero batch size or validation
-/// fraction outside `(0, 1)`.
+/// [`CoreError::InvalidConfig`] for a zero batch size, thread count,
+/// decay step or validation interval, a validation fraction outside
+/// `(0, 1)`, a learning rate that is not positive (or NaN), or a decay
+/// factor outside `(0, 1]`.
 pub fn train(
     net: &mut Network,
     features: &[Tensor],
@@ -316,6 +318,22 @@ pub fn train_resumable(
     }
     if !(config.val_fraction > 0.0 && config.val_fraction < 1.0) {
         return Err(CoreError::InvalidConfig("val_fraction must be in (0, 1)"));
+    }
+    // The learning-rate schedule's preconditions (`LrSchedule::new`
+    // panics on each), written so NaN fails them too.
+    if config.lr.is_nan() || config.lr <= 0.0 {
+        return Err(CoreError::InvalidConfig("lr must be positive"));
+    }
+    if !(config.alpha > 0.0 && config.alpha <= 1.0) {
+        return Err(CoreError::InvalidConfig("alpha must be in (0, 1]"));
+    }
+    if config.decay_step == 0 {
+        return Err(CoreError::InvalidConfig("decay_step must be nonzero"));
+    }
+    // No step is a multiple of 0, so the round would never validate and
+    // would return the weights it was given.
+    if config.val_interval == 0 {
+        return Err(CoreError::InvalidConfig("val_interval must be nonzero"));
     }
 
     // Split off the validation set (paper §4.2: "a fraction, empirically
@@ -599,6 +617,61 @@ mod tests {
         let mut cfg = quick_config();
         cfg.val_fraction = 1.5;
         assert!(train(&mut net, &features, &labels, 0.0, &cfg).is_err());
+    }
+
+    /// Trains `toy_net` under `quick_config` edited by `edit`, expecting
+    /// the typed config error `why` with the weights untouched.
+    fn assert_invalid_config(edit: impl FnOnce(&mut MgdConfig), why: &str) {
+        let (features, labels) = toy_data(40, 4);
+        let mut net = toy_net(6);
+        let before = ParameterBlob::from_network(&mut net);
+        let mut cfg = quick_config();
+        edit(&mut cfg);
+        match train(&mut net, &features, &labels, 0.0, &cfg) {
+            Err(CoreError::InvalidConfig(got)) => assert_eq!(got, why),
+            other => panic!("expected InvalidConfig({why:?}), got {other:?}"),
+        }
+        assert_eq!(ParameterBlob::from_network(&mut net), before);
+    }
+
+    #[test]
+    fn rejects_zero_lr() {
+        assert_invalid_config(|c| c.lr = 0.0, "lr must be positive");
+    }
+
+    #[test]
+    fn rejects_negative_lr() {
+        assert_invalid_config(|c| c.lr = -0.1, "lr must be positive");
+    }
+
+    #[test]
+    fn rejects_nan_lr() {
+        assert_invalid_config(|c| c.lr = f32::NAN, "lr must be positive");
+    }
+
+    #[test]
+    fn rejects_zero_alpha() {
+        assert_invalid_config(|c| c.alpha = 0.0, "alpha must be in (0, 1]");
+    }
+
+    #[test]
+    fn rejects_alpha_above_one() {
+        assert_invalid_config(|c| c.alpha = 1.5, "alpha must be in (0, 1]");
+    }
+
+    #[test]
+    fn rejects_nan_alpha() {
+        assert_invalid_config(|c| c.alpha = f32::NAN, "alpha must be in (0, 1]");
+    }
+
+    #[test]
+    fn rejects_zero_decay_step() {
+        assert_invalid_config(|c| c.decay_step = 0, "decay_step must be nonzero");
+    }
+
+    #[test]
+    fn rejects_zero_val_interval() {
+        assert_invalid_config(|c| c.val_interval = 0, "val_interval must be nonzero");
     }
 
     #[test]

@@ -169,4 +169,42 @@ mod tests {
         };
         let _ = cfg.build();
     }
+
+    #[test]
+    fn scalar_training_bits_are_pinned() {
+        // Three seeded MGD steps of the Table-1 network. Under the scalar
+        // oracle (CI's scalar leg) the weights must stay bit for bit where
+        // the scalar kernels have always put them; SIMD tiers only differ
+        // within the ULP envelope, so they print their checksum and stop.
+        use hotspot_nn::gemm::{kernel_backend, KernelBackend};
+        use hotspot_nn::optim;
+        use hotspot_nn::serialize::{crc32, ParameterBlob};
+        let cfg = CnnConfig::default();
+        let mut net = cfg.build();
+        let len: usize = cfg.input_shape().iter().product();
+        let xs: Vec<Tensor> = (0..8)
+            .map(|s| {
+                let v = (0..len).map(|i| ((i * 7 + s * 131) as f32 * 0.013).sin());
+                Tensor::from_vec(cfg.input_shape(), v.collect())
+            })
+            .collect();
+        let mut ex = Executor::new();
+        for step in 0..3 {
+            let batch: Vec<(&Tensor, [f32; 2])> = xs
+                .iter()
+                .enumerate()
+                .map(|(j, x)| (x, crate::mgd::target_for((j + step) % 2 == 0, 0.0)))
+                .collect();
+            optim::minibatch_step(&mut net, &mut ex, &batch, 0.1);
+        }
+        let crc = crc32(&ParameterBlob::from_network(&mut net).to_bytes());
+        println!(
+            "table-1 weights after 3 MGD steps on {}: crc32 {crc:08x}",
+            kernel_backend().name()
+        );
+        if kernel_backend() != KernelBackend::Scalar {
+            return;
+        }
+        assert_eq!(crc, 0xbced_07a2);
+    }
 }

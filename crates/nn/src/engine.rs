@@ -524,11 +524,16 @@ impl Network {
 
     /// Planned backward pass over the activations a matching
     /// [`Network::forward_train_with`] left in `ws`: accumulates parameter
-    /// gradients layer by layer and returns ∂loss/∂input (borrowed from
-    /// the workspace). Fused epilogue gradients are rescaled through
-    /// [`Epilogue::grad_from_output`] before the producing layer's
+    /// gradients layer by layer. Fused epilogue gradients are rescaled
+    /// through [`Epilogue::grad_from_output`] before the producing layer's
     /// backward runs — the same arithmetic the standalone activation's
     /// backward would have applied.
+    ///
+    /// With `input_grad` the pass also computes ∂loss/∂input and returns
+    /// it (borrowed from the workspace). Without it the first step skips
+    /// its input-gradient half (for a conv-first network, one `gemm_tn`
+    /// plus a `col2im` per sample) and the returned slice is empty.
+    /// Parameter gradients are bit-identical either way.
     ///
     /// # Panics
     ///
@@ -542,6 +547,7 @@ impl Network {
         plan: &ShapePlan,
         ws: &'ws mut Workspace,
         loss_grad: &[f32],
+        input_grad: bool,
     ) -> &'ws [f32] {
         assert_eq!(
             plan.layer_count,
@@ -564,14 +570,17 @@ impl Network {
         ws.prepare(plan, true);
         ws.g_cur[..plan.out_len()].copy_from_slice(loss_grad);
         let layers = self.layers_mut();
-        for step in plan.steps.iter().rev() {
+        for (si, step) in plan.steps.iter().enumerate().rev() {
             let y = &ws.acts[step.out_off..step.out_off + step.out_len];
             let g = &mut ws.g_cur[..step.out_len];
             if let Some(ep) = step.epilogue {
                 ep.grad_from_output(y, g);
             }
-            let grad_in = &mut ws.g_nxt[..step.in_len];
-            grad_in.fill(0.0);
+            let grad_in = (input_grad || si > 0).then(|| {
+                let grad_in = &mut ws.g_nxt[..step.in_len];
+                grad_in.fill(0.0);
+                grad_in
+            });
             layers[step.layer].backward_into(
                 BackwardCtx {
                     x: &ws.acts[step.in_off..step.in_off + step.in_len],
@@ -585,7 +594,7 @@ impl Network {
             );
             std::mem::swap(&mut ws.g_cur, &mut ws.g_nxt);
         }
-        &ws.g_cur[..plan.in_len]
+        &ws.g_cur[..if input_grad { plan.in_len } else { 0 }]
     }
 }
 
@@ -677,21 +686,42 @@ impl Executor {
         net.forward_train_with(plan, &mut self.ws, input.as_slice())
     }
 
-    /// Planned backward over the last [`Executor::forward_train`] pass;
-    /// see [`Network::backward_with`].
+    /// Planned backward over the last [`Executor::forward_train`] pass:
+    /// the training backward. Accumulates parameter gradients and skips
+    /// the first layer's input gradient, which training never reads, so
+    /// the returned slice is always **empty**. Callers that want
+    /// ∂loss/∂input use [`Executor::backward_input_grad`]; see
+    /// [`Network::backward_with`].
     ///
     /// # Panics
     ///
     /// Panics unless the last pass on this executor was
     /// [`Executor::forward_train`].
     pub fn backward(&mut self, net: &mut Network, loss_grad: &[f32]) -> &[f32] {
+        self.backward_impl(net, loss_grad, false)
+    }
+
+    /// [`Executor::backward`] that also computes and returns ∂loss/∂input
+    /// (borrowed from the workspace) — for gradient checks and for
+    /// chaining one network's backward into another's. Parameter
+    /// gradients are bit-identical to [`Executor::backward`]'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the last pass on this executor was
+    /// [`Executor::forward_train`].
+    pub fn backward_input_grad(&mut self, net: &mut Network, loss_grad: &[f32]) -> &[f32] {
+        self.backward_impl(net, loss_grad, true)
+    }
+
+    fn backward_impl(&mut self, net: &mut Network, loss_grad: &[f32], input_grad: bool) -> &[f32] {
         let plan = match &self.plan {
             Some(p) => p,
             // A misuse of the API, not a recoverable state: the workspace
             // holds no activations to differentiate through.
             None => panic!("Executor::backward called before forward_train"),
         };
-        net.backward_with(plan, &mut self.ws, loss_grad)
+        net.backward_with(plan, &mut self.ws, loss_grad, input_grad)
     }
 }
 
@@ -879,7 +909,7 @@ mod tests {
         fn backward(&mut self, loss_grad: &[f32]) -> Vec<f32> {
             let mut g = loss_grad.to_vec();
             for (net, ex) in self.nets.iter_mut().zip(&mut self.exs).rev() {
-                g = ex.backward(net, &g).to_vec();
+                g = ex.backward_input_grad(net, &g).to_vec();
             }
             g
         }
@@ -982,7 +1012,7 @@ mod tests {
             .forward_train_with(&plan, &mut ws, x.as_slice())
             .to_vec();
         let gin_planned = planned_net
-            .backward_with(&plan, &mut ws, &loss_grad)
+            .backward_with(&plan, &mut ws, &loss_grad, true)
             .to_vec();
 
         assert_eq!(y_planned, y_unfused);
@@ -997,6 +1027,37 @@ mod tests {
         // Both consumed the dropout stream identically.
         let rngs: Vec<[u64; 4]> = unfused.nets.iter().flat_map(|n| n.rng_states()).collect();
         assert_eq!(rngs, planned_net.rng_states());
+    }
+
+    #[test]
+    fn skipping_the_first_input_gradient_is_exact() {
+        // One training step two ways, on whatever backend this process
+        // resolved: the training backward (conv-first, so it skips conv's
+        // dX) and the input-gradient path. Parameter gradients and the
+        // dropout streams must agree bit for bit.
+        let x = wavy_input(2 * 6 * 6, vec![2, 6, 6]);
+        let run = |input_grad: bool| {
+            let mut net = paper_like_net();
+            let mut ex = Executor::new();
+            let mut g = [0.0f32; 2];
+            net.zero_grads();
+            let y = ex.forward_train(&mut net, &x);
+            loss::softmax_cross_entropy_into(y, &[0.0, 1.0], &mut g);
+            let gin_len = if input_grad {
+                ex.backward_input_grad(&mut net, &g).len()
+            } else {
+                ex.backward(&mut net, &g).len()
+            };
+            let mut grads = Vec::new();
+            net.visit_params(&mut |_, g| grads.push(g.to_vec()));
+            (gin_len, grads, net.rng_states())
+        };
+        let (skip_len, skip_grads, skip_rngs) = run(false);
+        let (full_len, full_grads, full_rngs) = run(true);
+        assert_eq!(skip_len, 0);
+        assert_eq!(full_len, 2 * 6 * 6);
+        assert_eq!(skip_grads, full_grads);
+        assert_eq!(skip_rngs, full_rngs);
     }
 
     #[test]
@@ -1027,7 +1088,7 @@ mod tests {
             planned_net.zero_grads();
             let yp = planned_net.forward_train_with(&plan, &mut ws, x.as_slice());
             loss::softmax_cross_entropy_into(yp, &target, &mut gp);
-            planned_net.backward_with(&plan, &mut ws, &gp);
+            planned_net.backward_with(&plan, &mut ws, &gp, false);
             planned_net.apply_gradients(0.05);
         }
         let mut wu = Vec::new();
@@ -1060,7 +1121,7 @@ mod tests {
         let mut ws = Workspace::new();
         let _ = net.forward_train_with(&plan, &mut ws, x.as_slice());
         let _ = net.forward_batch_with(&batch_plan, &mut ws, &[0.25; 2 * 2 * 6 * 6]);
-        let _ = net.backward_with(&plan, &mut ws, &[0.5, -0.5]);
+        let _ = net.backward_with(&plan, &mut ws, &[0.5, -0.5], false);
     }
 
     #[test]
@@ -1277,7 +1338,7 @@ mod tests {
             .forward_train_with(&plan, &mut ws, x.as_slice())
             .to_vec();
         let (_, g) = loss::softmax_cross_entropy(&Tensor::from_vec(vec![2], y), &target);
-        net.backward_with(&plan, &mut ws, g.as_slice());
+        net.backward_with(&plan, &mut ws, g.as_slice(), true);
 
         let mut analytic = Vec::new();
         net.visit_params(&mut |_, g| analytic.push(g.to_vec()));

@@ -36,6 +36,13 @@
 //!   available, and the **bit-identity oracle** the SIMD backends are
 //!   tested against.
 //!
+//! On each SIMD tier `gemm_nn` and `gemm_tn` share that tier's
+//! micro-kernel, which reads `A` through a row and a column stride
+//! (`gemm_tn` swaps them). `gemm_nt` reduces each output element with a
+//! vector dot for `n = 1`; for `n > 1` it packs a block of `A`'s rows
+//! transposed into a stack panel and accumulates 8 output columns at a
+//! time by broadcast FMA, with the rows in the lanes.
+//!
 //! The `HOTSPOT_SIMD` environment variable overrides detection: `scalar`
 //! forces the oracle (bit-identical to historical releases), `avx2` /
 //! `avx512` force a specific SIMD tier (panicking if the CPU lacks it),
@@ -53,9 +60,11 @@
 //! ULP envelope — see [`crate::ulp`] for the comparison helpers and the
 //! proptests in `tests/proptests.rs` for the enforced bound.
 //!
-//! `gemm_tn` is backward-only (it never runs in the scan hot path) and
-//! intentionally stays scalar on every backend, keeping training-gradient
-//! bit-identity pins valid regardless of dispatch.
+//! Training gradients therefore follow the backend too: on a SIMD tier
+//! the backward GEMMs (`gemm_tn` for the input gradient, `gemm_nt` with
+//! `n > 1` for conv's weight gradient) differ from the oracle in the last
+//! bits, while under `HOTSPOT_SIMD=scalar` every trained weight is
+//! bit-identical to the historical releases.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -192,12 +201,14 @@ type KernelFn = fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
 struct KernelTable {
     nn: KernelFn,
     nt: KernelFn,
+    tn: KernelFn,
     nt_batched: KernelFn,
 }
 
 static SCALAR_TABLE: KernelTable = KernelTable {
     nn: scalar::gemm_nn,
     nt: scalar::gemm_nt,
+    tn: scalar::gemm_tn,
     nt_batched: scalar::gemm_nt_batched,
 };
 
@@ -205,6 +216,7 @@ static SCALAR_TABLE: KernelTable = KernelTable {
 static AVX2_TABLE: KernelTable = KernelTable {
     nn: avx2::gemm_nn_shim,
     nt: avx2::gemm_nt_shim,
+    tn: avx2::gemm_tn_shim,
     nt_batched: avx2::gemm_nt_batched_shim,
 };
 
@@ -212,6 +224,7 @@ static AVX2_TABLE: KernelTable = KernelTable {
 static AVX512_TABLE: KernelTable = KernelTable {
     nn: avx512::gemm_nn_shim,
     nt: avx512::gemm_nt_shim,
+    tn: avx512::gemm_tn_shim,
     nt_batched: avx512::gemm_nt_batched_shim,
 };
 
@@ -266,8 +279,9 @@ pub fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]
 /// `C[m×n] += Aᵀ · B`, with `A` stored `k×m` row-major and `B` stored
 /// `k×n` row-major: `C[i][j] += Σ_p A[p][i] · B[p][j]`.
 ///
-/// Backward-only; dispatches to the scalar kernel on every backend (see
-/// the module docs).
+/// Backward-only (the input gradient of conv and dense). The SIMD tiers
+/// run `gemm_nn`'s register-tiled micro-kernel with `A`'s strides
+/// swapped, and a vector axpy over rows of `A` for `n = 1`.
 ///
 /// # Panics
 ///
@@ -280,7 +294,7 @@ pub fn gemm_tn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    scalar::gemm_tn(m, n, k, a, b, c);
+    (table().tn)(m, n, k, a, b, c);
 }
 
 /// Batched matrix-vector products against one shared weight matrix:
@@ -616,6 +630,36 @@ pub mod scalar {
     }
 }
 
+/// `k`-chunk of the SIMD `gemm_nt` panel kernels: a packed panel of 256
+/// steps is 16 KiB at 16 lanes, small enough for the stack and L1.
+#[cfg(target_arch = "x86_64")]
+const NT_KC: usize = 256;
+
+/// Packs rows `i0..i0 + rows` of the row-major `·×k` matrix `a`, columns
+/// `p0..p0 + panel.len()`, transposed into `panel`:
+/// `panel[p][r] = a[(i0 + r)·k + p0 + p]`, and zero in lanes `r ≥ rows`.
+#[cfg(target_arch = "x86_64")]
+fn pack_transposed<const W: usize>(
+    a: &[f32],
+    k: usize,
+    i0: usize,
+    rows: usize,
+    p0: usize,
+    panel: &mut [[f32; W]],
+) {
+    debug_assert!(rows <= W);
+    for r in 0..W {
+        if r < rows {
+            let src = &a[(i0 + r) * k + p0..][..panel.len()];
+            for (lanes, &v) in panel.iter_mut().zip(src) {
+                lanes[r] = v;
+            }
+        } else {
+            panel.iter_mut().for_each(|lanes| lanes[r] = 0.0);
+        }
+    }
+}
+
 /// AVX2 + FMA micro-kernels (256-bit lanes, 4×16 register tile).
 ///
 /// Per output element the reduction runs over `k` in order, one FMA per
@@ -629,11 +673,24 @@ mod avx2 {
     /// Safe shim: the dispatch table is only built after
     /// `is_x86_feature_detected!("avx2")` + `fma` succeeded.
     pub fn gemm_nn_shim(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-        unsafe { gemm_nn(m, n, k, a, b, c) }
+        // SAFETY: avx2 + fma were detected before this table was built, and
+        // the public wrapper asserted every slice length.
+        unsafe { gemm_strided::<false>(m, n, k, a, b, c) }
     }
 
     pub fn gemm_nt_shim(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
         unsafe { gemm_nt(m, n, k, a, b, c) }
+    }
+
+    pub fn gemm_tn_shim(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+        // SAFETY: as for `gemm_nn_shim`.
+        unsafe {
+            if n == 1 {
+                gemm_tn_vec(m, k, a, b, c)
+            } else {
+                gemm_strided::<true>(m, n, k, a, b, c)
+            }
+        }
     }
 
     pub fn gemm_nt_batched_shim(
@@ -644,15 +701,38 @@ mod avx2 {
         xs: &[f32],
         c: &mut [f32],
     ) {
-        // C[j][i] += Σ_p A[i][p]·X[j][p] is exactly gemm_nt with the
-        // sample block as the left operand: C[batch×m] = X[batch×k]·Aᵀ.
-        unsafe { gemm_nt(batch, m, k, xs, a, c) }
+        // C[j][i] += Σ_p A[i][p]·X[j][p] is exactly one dot per element
+        // with the sample block as the left operand — the same `dot` the
+        // per-sample n = 1 path of `gemm_nt` runs, so bits match it.
+        // SAFETY: avx2 + fma were detected before this table was built, and
+        // the public wrapper asserted every slice length.
+        unsafe { gemm_nt_dots(batch, m, k, xs, a, c) }
     }
 
+    /// `C[m×n] += A·B` with `A(i, p) = a[i·rs + p·cs]` and `B` row-major
+    /// `k×n`: `gemm_nn` runs it with `(rs, cs) = (k, 1)`, `gemm_tn`
+    /// (`A_T`) with `(1, m)`. The layout is a const parameter so
+    /// `gemm_nn`'s instance keeps its unit column stride as a constant.
+    ///
     /// 4 rows × 16 columns of `C` held in 8 YMM accumulators; B rows are
-    /// loaded once per `k` step and shared across the 4 A broadcasts.
+    /// loaded once per `k` step and shared across the 4 A broadcasts. The
+    /// FMA sequence per output element depends only on `k`, never on the
+    /// strides.
+    ///
+    /// # Safety
+    ///
+    /// avx2 + fma must be available; `a` must hold `m·k` elements, `b`
+    /// must be `k×n` and `c` must be `m×n`.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn gemm_nn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    unsafe fn gemm_strided<const A_T: bool>(
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+    ) {
+        let (rs, cs) = if A_T { (1, m) } else { (k, 1) };
         debug_assert!(a.len() == m * k && b.len() == k * n && c.len() == m * n);
         let ap = a.as_ptr();
         let bp = b.as_ptr();
@@ -672,16 +752,16 @@ mod avx2 {
                 for p in 0..k {
                     let b0 = _mm256_loadu_ps(bp.add(p * n + j));
                     let b1 = _mm256_loadu_ps(bp.add(p * n + j + 8));
-                    let a0 = _mm256_set1_ps(*ap.add(i * k + p));
+                    let a0 = _mm256_set1_ps(*ap.add(i * rs + p * cs));
                     c00 = _mm256_fmadd_ps(a0, b0, c00);
                     c01 = _mm256_fmadd_ps(a0, b1, c01);
-                    let a1 = _mm256_set1_ps(*ap.add((i + 1) * k + p));
+                    let a1 = _mm256_set1_ps(*ap.add((i + 1) * rs + p * cs));
                     c10 = _mm256_fmadd_ps(a1, b0, c10);
                     c11 = _mm256_fmadd_ps(a1, b1, c11);
-                    let a2 = _mm256_set1_ps(*ap.add((i + 2) * k + p));
+                    let a2 = _mm256_set1_ps(*ap.add((i + 2) * rs + p * cs));
                     c20 = _mm256_fmadd_ps(a2, b0, c20);
                     c21 = _mm256_fmadd_ps(a2, b1, c21);
-                    let a3 = _mm256_set1_ps(*ap.add((i + 3) * k + p));
+                    let a3 = _mm256_set1_ps(*ap.add((i + 3) * rs + p * cs));
                     c30 = _mm256_fmadd_ps(a3, b0, c30);
                     c31 = _mm256_fmadd_ps(a3, b1, c31);
                 }
@@ -704,7 +784,7 @@ mod avx2 {
                 for r in 0..4 {
                     let mut acc = *cp.add((i + r) * n + j);
                     for p in 0..k {
-                        acc = (*ap.add((i + r) * k + p)).mul_add(*bp.add(p * n + j), acc);
+                        acc = (*ap.add((i + r) * rs + p * cs)).mul_add(*bp.add(p * n + j), acc);
                     }
                     *cp.add((i + r) * n + j) = acc;
                 }
@@ -718,7 +798,7 @@ mod avx2 {
                 let mut acc = _mm256_loadu_ps(cp.add(i * n + j));
                 for p in 0..k {
                     let bv = _mm256_loadu_ps(bp.add(p * n + j));
-                    acc = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(i * k + p)), bv, acc);
+                    acc = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(i * rs + p * cs)), bv, acc);
                 }
                 _mm256_storeu_ps(cp.add(i * n + j), acc);
                 j += 8;
@@ -726,12 +806,46 @@ mod avx2 {
             while j < n {
                 let mut acc = *cp.add(i * n + j);
                 for p in 0..k {
-                    acc = (*ap.add(i * k + p)).mul_add(*bp.add(p * n + j), acc);
+                    acc = (*ap.add(i * rs + p * cs)).mul_add(*bp.add(p * n + j), acc);
                 }
                 *cp.add(i * n + j) = acc;
                 j += 1;
             }
             i += 1;
+        }
+    }
+
+    /// `c[m] += Aᵀ·b` with `A` stored `k×m` (the dense layer's dX): one
+    /// vector axpy over each contiguous row of `A`, skipping zero entries
+    /// of `b` as the scalar kernel does.
+    ///
+    /// # Safety
+    ///
+    /// avx2 + fma must be available; `a` is `k×m`, `b` has `k` and `c` has
+    /// `m` elements.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn gemm_tn_vec(m: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+        debug_assert!(a.len() == k * m && b.len() == k && c.len() == m);
+        let cp = c.as_mut_ptr();
+        for (p, &s) in b.iter().enumerate() {
+            if s == 0.0 {
+                continue;
+            }
+            let row = a.as_ptr().add(p * m);
+            let sv = _mm256_set1_ps(s);
+            let mut i = 0;
+            while i + 8 <= m {
+                let acc = _mm256_loadu_ps(cp.add(i));
+                _mm256_storeu_ps(
+                    cp.add(i),
+                    _mm256_fmadd_ps(_mm256_loadu_ps(row.add(i)), sv, acc),
+                );
+                i += 8;
+            }
+            while i < m {
+                *cp.add(i) = (*row.add(i)).mul_add(s, *cp.add(i));
+                i += 1;
+            }
         }
     }
 
@@ -769,8 +883,15 @@ mod avx2 {
         s
     }
 
+    /// `C += A·Bᵀ` as one [`dot`] per output element: the `n = 1` path of
+    /// `gemm_nt` and, with the sample block as `A`, the batched kernel.
+    ///
+    /// # Safety
+    ///
+    /// avx2 + fma must be available; `a` is `m×k`, `b` is `n×k` and `c`
+    /// is `m×n`.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    unsafe fn gemm_nt_dots(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
         debug_assert!(a.len() == m * k && b.len() == n * k && c.len() == m * n);
         let ap = a.as_ptr();
         let bp = b.as_ptr();
@@ -779,6 +900,86 @@ mod avx2 {
             for j in 0..n {
                 c[i * n + j] += dot(a_row, bp.add(j * k), k);
             }
+        }
+    }
+
+    /// `C[m×n] += A·Bᵀ`: dots for `n = 1`, the packed panel otherwise.
+    ///
+    /// # Safety
+    ///
+    /// As for [`gemm_nt_dots`].
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+        if n == 1 {
+            gemm_nt_dots(m, n, k, a, b, c)
+        } else {
+            gemm_nt_panel(m, n, k, a, b, c)
+        }
+    }
+
+    /// Output rows per packed `Aᵀ` panel: one YMM vector of them.
+    const NT_ROWS: usize = 8;
+
+    /// `C[m×n] += A·Bᵀ` for `n > 1` (conv's weight gradient) with output
+    /// rows in the lanes: each block of 8 rows of `A` is packed transposed
+    /// into a stack panel (`k`-chunks of at most [`super::NT_KC`]), then 8
+    /// output columns accumulate by broadcast FMA — no horizontal
+    /// reduction per output element. Per element the sum is one in-order
+    /// FMA chain per chunk, added to `C` chunk by chunk.
+    ///
+    /// # Safety
+    ///
+    /// avx2 + fma must be available; `a` is `m×k`, `b` is `n×k` and `c`
+    /// is `m×n`.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn gemm_nt_panel(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+        debug_assert!(a.len() == m * k && b.len() == n * k && c.len() == m * n);
+        let mut panel = [[0.0f32; NT_ROWS]; super::NT_KC];
+        let mut column = [0.0f32; NT_ROWS];
+        let bp = b.as_ptr();
+        let mut i0 = 0;
+        while i0 < m {
+            let rows = (m - i0).min(NT_ROWS);
+            let mut p0 = 0;
+            while p0 < k {
+                let kc = (k - p0).min(super::NT_KC);
+                let panel = &mut panel[..kc];
+                super::pack_transposed(a, k, i0, rows, p0, panel);
+                let mut j = 0;
+                while j < n {
+                    let cols = (n - j).min(8);
+                    let mut acc = [_mm256_setzero_ps(); 8];
+                    if cols == 8 {
+                        let b0 = bp.add(j * k + p0);
+                        for (p, a_p) in panel.iter().enumerate() {
+                            let av = _mm256_loadu_ps(a_p.as_ptr());
+                            for (jj, accj) in acc.iter_mut().enumerate() {
+                                let bv = _mm256_set1_ps(*b0.add(jj * k + p));
+                                *accj = _mm256_fmadd_ps(av, bv, *accj);
+                            }
+                        }
+                    } else {
+                        // Ragged column tail: the same per-element FMA
+                        // chain, one column at a time.
+                        for (jj, accj) in acc.iter_mut().take(cols).enumerate() {
+                            let bj = bp.add((j + jj) * k + p0);
+                            for (p, a_p) in panel.iter().enumerate() {
+                                let av = _mm256_loadu_ps(a_p.as_ptr());
+                                *accj = _mm256_fmadd_ps(av, _mm256_set1_ps(*bj.add(p)), *accj);
+                            }
+                        }
+                    }
+                    for (jj, accj) in acc.iter().take(cols).enumerate() {
+                        _mm256_storeu_ps(column.as_mut_ptr(), *accj);
+                        for (r, &v) in column.iter().take(rows).enumerate() {
+                            c[(i0 + r) * n + j + jj] += v;
+                        }
+                    }
+                    j += cols;
+                }
+                p0 += kc;
+            }
+            i0 += rows;
         }
     }
 }
@@ -795,11 +996,24 @@ mod avx512 {
     /// Safe shim: the dispatch table is only built after
     /// `is_x86_feature_detected!("avx512f")` succeeded.
     pub fn gemm_nn_shim(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-        unsafe { gemm_nn(m, n, k, a, b, c) }
+        // SAFETY: avx512f was detected before this table was built, and
+        // the public wrapper asserted every slice length.
+        unsafe { gemm_strided::<false>(m, n, k, a, b, c) }
     }
 
     pub fn gemm_nt_shim(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
         unsafe { gemm_nt(m, n, k, a, b, c) }
+    }
+
+    pub fn gemm_tn_shim(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+        // SAFETY: as for `gemm_nn_shim`.
+        unsafe {
+            if n == 1 {
+                gemm_tn_vec(m, k, a, b, c)
+            } else {
+                gemm_strided::<true>(m, n, k, a, b, c)
+            }
+        }
     }
 
     pub fn gemm_nt_batched_shim(
@@ -909,11 +1123,30 @@ mod avx512 {
         }
     }
 
+    /// `C[m×n] += A·B` with `A(i, p) = a[i·rs + p·cs]` and `B` row-major
+    /// `k×n`: `gemm_nn` runs it with `(rs, cs) = (k, 1)`, `gemm_tn`
+    /// (`A_T`) with `(1, m)`. The layout is a const parameter so
+    /// `gemm_nn`'s instance keeps its unit column stride as a constant.
+    ///
     /// 8 rows × 32 columns of `C` held in 16 ZMM accumulators; ragged `n`
     /// tails fall back to a masked 16-wide column strip, ragged `m` tails
-    /// to a single-row masked loop.
+    /// to a single-row masked loop. The FMA sequence per output element
+    /// depends only on `k`, never on the strides.
+    ///
+    /// # Safety
+    ///
+    /// avx512f must be available; `a` must hold `m·k` elements, `b` must
+    /// be `k×n` and `c` must be `m×n`.
     #[target_feature(enable = "avx512f")]
-    unsafe fn gemm_nn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    unsafe fn gemm_strided<const A_T: bool>(
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+    ) {
+        let (rs, cs) = if A_T { (1, m) } else { (k, 1) };
         debug_assert!(a.len() == m * k && b.len() == k * n && c.len() == m * n);
         let ap = a.as_ptr();
         let bp = b.as_ptr();
@@ -931,7 +1164,7 @@ mod avx512 {
                     let b0 = _mm512_loadu_ps(bp.add(p * n + j));
                     let b1 = _mm512_loadu_ps(bp.add(p * n + j + 16));
                     for (r, row) in acc.iter_mut().enumerate() {
-                        let av = _mm512_set1_ps(*ap.add((i + r) * k + p));
+                        let av = _mm512_set1_ps(*ap.add((i + r) * rs + p * cs));
                         row[0] = _mm512_fmadd_ps(av, b0, row[0]);
                         row[1] = _mm512_fmadd_ps(av, b1, row[1]);
                     }
@@ -952,7 +1185,7 @@ mod avx512 {
                 for p in 0..k {
                     let b0 = _mm512_maskz_loadu_ps(mask, bp.add(p * n + j));
                     for (r, accr) in acc.iter_mut().enumerate() {
-                        let av = _mm512_set1_ps(*ap.add((i + r) * k + p));
+                        let av = _mm512_set1_ps(*ap.add((i + r) * rs + p * cs));
                         *accr = _mm512_fmadd_ps(av, b0, *accr);
                     }
                 }
@@ -971,13 +1204,51 @@ mod avx512 {
                 let mut acc = _mm512_maskz_loadu_ps(mask, cp.add(i * n + j));
                 for p in 0..k {
                     let b0 = _mm512_maskz_loadu_ps(mask, bp.add(p * n + j));
-                    let av = _mm512_set1_ps(*ap.add(i * k + p));
+                    let av = _mm512_set1_ps(*ap.add(i * rs + p * cs));
                     acc = _mm512_fmadd_ps(av, b0, acc);
                 }
                 _mm512_mask_storeu_ps(cp.add(i * n + j), mask, acc);
                 j += rem;
             }
             i += 1;
+        }
+    }
+
+    /// `c[m] += Aᵀ·b` with `A` stored `k×m` (the dense layer's dX): one
+    /// vector axpy over each contiguous row of `A`, with a masked tail,
+    /// skipping zero entries of `b` as the scalar kernel does.
+    ///
+    /// # Safety
+    ///
+    /// avx512f must be available; `a` is `k×m`, `b` has `k` and `c` has
+    /// `m` elements.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn gemm_tn_vec(m: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+        debug_assert!(a.len() == k * m && b.len() == k && c.len() == m);
+        let cp = c.as_mut_ptr();
+        for (p, &s) in b.iter().enumerate() {
+            if s == 0.0 {
+                continue;
+            }
+            let row = a.as_ptr().add(p * m);
+            let sv = _mm512_set1_ps(s);
+            // Full vectors unmasked: the next step reloads what this one
+            // stores, and masked stores do not forward to later loads.
+            let mut i = 0;
+            while i + 16 <= m {
+                let acc = _mm512_loadu_ps(cp.add(i));
+                _mm512_storeu_ps(
+                    cp.add(i),
+                    _mm512_fmadd_ps(_mm512_loadu_ps(row.add(i)), sv, acc),
+                );
+                i += 16;
+            }
+            if i < m {
+                let mask: u16 = (1u16 << (m - i)) - 1;
+                let acc = _mm512_maskz_loadu_ps(mask, cp.add(i));
+                let av = _mm512_maskz_loadu_ps(mask, row.add(i));
+                _mm512_mask_storeu_ps(cp.add(i), mask, _mm512_fmadd_ps(av, sv, acc));
+            }
         }
     }
 
@@ -1017,13 +1288,80 @@ mod avx512 {
     #[target_feature(enable = "avx512f")]
     unsafe fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
         debug_assert!(a.len() == m * k && b.len() == n * k && c.len() == m * n);
+        if n > 1 {
+            return gemm_nt_panel(m, n, k, a, b, c);
+        }
+        // n = 1: one `dot` per output row, the arithmetic
+        // `gemm_nt_batched` replicates.
         let ap = a.as_ptr();
-        let bp = b.as_ptr();
         for i in 0..m {
-            let a_row = ap.add(i * k);
-            for j in 0..n {
-                c[i * n + j] += dot(a_row, bp.add(j * k), k);
+            c[i] += dot(ap.add(i * k), b.as_ptr(), k);
+        }
+    }
+
+    /// Output rows per packed `Aᵀ` panel: one ZMM vector of them.
+    const NT_ROWS: usize = 16;
+
+    /// `C[m×n] += A·Bᵀ` for `n > 1` (conv's weight gradient) with output
+    /// rows in the lanes: each block of 16 rows of `A` is packed
+    /// transposed into a stack panel (`k`-chunks of at most
+    /// [`super::NT_KC`]), then 8 output columns accumulate by broadcast
+    /// FMA — no horizontal reduction per output element. Per element the
+    /// sum is one in-order FMA chain per chunk, added to `C` chunk by
+    /// chunk.
+    ///
+    /// # Safety
+    ///
+    /// avx512f must be available; `a` is `m×k`, `b` is `n×k` and `c` is
+    /// `m×n`.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn gemm_nt_panel(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+        let mut panel = [[0.0f32; NT_ROWS]; super::NT_KC];
+        let mut column = [0.0f32; NT_ROWS];
+        let bp = b.as_ptr();
+        let mut i0 = 0;
+        while i0 < m {
+            let rows = (m - i0).min(NT_ROWS);
+            let mut p0 = 0;
+            while p0 < k {
+                let kc = (k - p0).min(super::NT_KC);
+                let panel = &mut panel[..kc];
+                super::pack_transposed(a, k, i0, rows, p0, panel);
+                let mut j = 0;
+                while j < n {
+                    let cols = (n - j).min(8);
+                    let mut acc = [_mm512_setzero_ps(); 8];
+                    if cols == 8 {
+                        let b0 = bp.add(j * k + p0);
+                        for (p, a_p) in panel.iter().enumerate() {
+                            let av = _mm512_loadu_ps(a_p.as_ptr());
+                            for (jj, accj) in acc.iter_mut().enumerate() {
+                                let bv = _mm512_set1_ps(*b0.add(jj * k + p));
+                                *accj = _mm512_fmadd_ps(av, bv, *accj);
+                            }
+                        }
+                    } else {
+                        // Ragged column tail: the same per-element FMA
+                        // chain, one column at a time.
+                        for (jj, accj) in acc.iter_mut().take(cols).enumerate() {
+                            let bj = bp.add((j + jj) * k + p0);
+                            for (p, a_p) in panel.iter().enumerate() {
+                                let av = _mm512_loadu_ps(a_p.as_ptr());
+                                *accj = _mm512_fmadd_ps(av, _mm512_set1_ps(*bj.add(p)), *accj);
+                            }
+                        }
+                    }
+                    for (jj, accj) in acc.iter().take(cols).enumerate() {
+                        _mm512_storeu_ps(column.as_mut_ptr(), *accj);
+                        for (r, &v) in column.iter().take(rows).enumerate() {
+                            c[(i0 + r) * n + j + jj] += v;
+                        }
+                    }
+                    j += cols;
+                }
+                p0 += kc;
             }
+            i0 += rows;
         }
     }
 }
@@ -1261,7 +1599,8 @@ mod tests {
 
     /// Every compiled backend must agree with the scalar oracle within the
     /// crate-wide ULP envelope, on shapes exercising full tiles and ragged
-    /// m/n/k tails.
+    /// m/n/k tails, plus the Table-1 network's backward shapes (at
+    /// k = 32 input channels).
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn simd_backends_match_scalar_oracle_within_ulp() {
@@ -1274,8 +1613,22 @@ mod tests {
             (32, 144, 288), // conv4 at score-block 4
             (9, 33, 289),   // ragged everything
             (250, 4, 288),  // dense batched as nt
+            (13, 1, 37),    // ragged n = 1
+            // tn: conv1-1/conv1-2/conv2-1/conv2-2 dX, then fc1/fc2 dX.
+            (288, 144, 16),
+            (144, 144, 16),
+            (144, 36, 32),
+            (288, 36, 32),
+            (288, 1, 250),
+            (250, 1, 2),
+            // nt: conv1-1/conv1-2/conv2-1/conv2-2 dW.
+            (16, 288, 144),
+            (16, 144, 144),
+            (32, 144, 36),
+            (32, 288, 36),
         ];
         for &(m, n, k) in &shapes {
+            // One k×m / m×k buffer serves as A for every kernel.
             let a = random_matrix(&mut rng, m * k);
             let b_nn = random_matrix(&mut rng, k * n);
             let b_nt = random_matrix(&mut rng, n * k);
@@ -1304,6 +1657,19 @@ mod tests {
             if is_x86_feature_detected!("avx512f") {
                 let mut got = seed.clone();
                 avx512::gemm_nt_shim(m, n, k, &a, &b_nt, &mut got);
+                assert_ulp_close(&got, &want, 128, 1e-4);
+            }
+
+            let mut want = seed.clone();
+            scalar::gemm_tn(m, n, k, &a, &b_nn, &mut want);
+            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+                let mut got = seed.clone();
+                avx2::gemm_tn_shim(m, n, k, &a, &b_nn, &mut got);
+                assert_ulp_close(&got, &want, 128, 1e-4);
+            }
+            if is_x86_feature_detected!("avx512f") {
+                let mut got = seed.clone();
+                avx512::gemm_tn_shim(m, n, k, &a, &b_nn, &mut got);
                 assert_ulp_close(&got, &want, 128, 1e-4);
             }
         }

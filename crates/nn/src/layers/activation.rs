@@ -67,7 +67,8 @@ impl Layer for Sigmoid {
         }
     }
 
-    fn backward_into(&mut self, ctx: BackwardCtx<'_>, grad_in: &mut [f32]) {
+    fn backward_into(&mut self, ctx: BackwardCtx<'_>, grad_in: Option<&mut [f32]>) {
+        let Some(grad_in) = grad_in else { return };
         // dσ/dx = σ (1 - σ), expressed from the cached output.
         for ((gi, &g), &y) in grad_in.iter_mut().zip(ctx.grad).zip(ctx.y) {
             *gi = g * y * (1.0 - y);
@@ -136,7 +137,8 @@ impl Layer for Tanh {
         }
     }
 
-    fn backward_into(&mut self, ctx: BackwardCtx<'_>, grad_in: &mut [f32]) {
+    fn backward_into(&mut self, ctx: BackwardCtx<'_>, grad_in: Option<&mut [f32]>) {
+        let Some(grad_in) = grad_in else { return };
         // d tanh/dx = 1 - tanh², expressed from the cached output.
         for ((gi, &g), &y) in grad_in.iter_mut().zip(ctx.grad).zip(ctx.y) {
             *gi = g * (1.0 - y * y);

@@ -39,7 +39,9 @@ pub const MAX_DIRECT_W: usize = 12;
 /// * forward is `out = W · col` ([`gemm::gemm_nn_fused`], optionally with
 ///   a fused activation epilogue),
 /// * the weight gradient is `dW = dY · colᵀ` ([`gemm::gemm_nt`]), and
-/// * the input gradient is `dX = col2im(Wᵀ · dY)` ([`gemm::gemm_tn`]).
+/// * the input gradient is `dX = col2im(Wᵀ · dY)` ([`gemm::gemm_tn`]),
+///   computed only when the caller asks for it: a training backward skips
+///   it for the network's first layer, whose input gradient nothing reads.
 ///
 /// The `col` and `dcol` matrices live in caller-provided scratch
 /// ([`Layer::scratch_len`] reports `2 · in_c·k²·oh·ow`), so a planned
@@ -749,12 +751,11 @@ impl Layer for Conv2d {
         }
     }
 
-    fn backward_into(&mut self, ctx: BackwardCtx<'_>, grad_in: &mut [f32]) {
+    fn backward_into(&mut self, ctx: BackwardCtx<'_>, grad_in: Option<&mut [f32]>) {
         let (h, w) = self.check_input(ctx.in_shape);
         let (oh, ow) = self.out_hw(h, w);
         let k2 = self.ksize * self.ksize;
         assert_eq!(ctx.grad.len(), self.out_c * oh * ow, "conv grad shape");
-        assert_eq!(grad_in.len(), self.in_c * h * w, "conv grad_in length");
         let g = ctx.grad;
 
         // db[oc] = Σ_spatial dY[oc].
@@ -772,10 +773,14 @@ impl Layer for Conv2d {
             col,
             &mut self.grad_weights,
         );
-        // dcol = Wᵀ · dY, then scatter-add back to the input shape.
-        dcol.fill(0.0);
-        gemm::gemm_tn(self.in_c * k2, oh * ow, self.out_c, &self.weights, g, dcol);
-        self.col2im(dcol, grad_in, h, w, oh, ow);
+        // dcol = Wᵀ · dY, then scatter-add back to the input shape — only
+        // when the caller reads the input gradient.
+        if let Some(grad_in) = grad_in {
+            assert_eq!(grad_in.len(), self.in_c * h * w, "conv grad_in length");
+            dcol.fill(0.0);
+            gemm::gemm_tn(self.in_c * k2, oh * ow, self.out_c, &self.weights, g, dcol);
+            self.col2im(dcol, grad_in, h, w, oh, ow);
+        }
     }
 
     fn accepts_epilogue(&self) -> bool {

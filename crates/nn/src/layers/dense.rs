@@ -125,9 +125,8 @@ impl Layer for Dense {
         );
     }
 
-    fn backward_into(&mut self, ctx: BackwardCtx<'_>, grad_in: &mut [f32]) {
+    fn backward_into(&mut self, ctx: BackwardCtx<'_>, grad_in: Option<&mut [f32]>) {
         assert_eq!(ctx.grad.len(), self.out_features, "dense grad shape");
-        assert_eq!(grad_in.len(), self.in_features, "dense grad_in length");
         let g = ctx.grad;
         for (gb, &go) in self.grad_bias.iter_mut().zip(g) {
             *gb += go;
@@ -142,14 +141,17 @@ impl Layer for Dense {
             &mut self.grad_weights,
         );
         // dX = Wᵀ·g (grad_in arrives zero-filled).
-        gemm::gemm_tn(
-            self.in_features,
-            1,
-            self.out_features,
-            &self.weights,
-            g,
-            grad_in,
-        );
+        if let Some(grad_in) = grad_in {
+            assert_eq!(grad_in.len(), self.in_features, "dense grad_in length");
+            gemm::gemm_tn(
+                self.in_features,
+                1,
+                self.out_features,
+                &self.weights,
+                g,
+                grad_in,
+            );
+        }
     }
 
     fn accepts_epilogue(&self) -> bool {

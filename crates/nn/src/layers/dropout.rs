@@ -121,7 +121,8 @@ impl Layer for Dropout {
         }
     }
 
-    fn backward_into(&mut self, ctx: BackwardCtx<'_>, grad_in: &mut [f32]) {
+    fn backward_into(&mut self, ctx: BackwardCtx<'_>, grad_in: Option<&mut [f32]>) {
+        let Some(grad_in) = grad_in else { return };
         let mask = &ctx.scratch[..ctx.grad.len()];
         for ((gi, &g), &m) in grad_in.iter_mut().zip(ctx.grad).zip(mask) {
             *gi = g * m;

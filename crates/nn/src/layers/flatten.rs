@@ -53,7 +53,8 @@ impl Layer for Flatten {
         y.copy_from_slice(x);
     }
 
-    fn backward_into(&mut self, ctx: BackwardCtx<'_>, grad_in: &mut [f32]) {
+    fn backward_into(&mut self, ctx: BackwardCtx<'_>, grad_in: Option<&mut [f32]>) {
+        let Some(grad_in) = grad_in else { return };
         grad_in.copy_from_slice(ctx.grad);
     }
 

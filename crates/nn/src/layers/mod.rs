@@ -200,9 +200,14 @@ pub trait Layer: fmt::Debug + Send + Sync {
     }
 
     /// Propagates `ctx.grad` (∂loss/∂output) backwards: accumulates
-    /// parameter gradients internally and writes ∂loss/∂input into
-    /// `grad_in`, which the caller provides **zero-filled** (scatter-add
-    /// layers rely on this).
+    /// parameter gradients internally and, when `grad_in` is `Some`,
+    /// writes ∂loss/∂input into it. The caller provides that slice
+    /// **zero-filled** (scatter-add layers rely on this).
+    ///
+    /// `grad_in = None` skips the input-gradient half outright: the
+    /// executor passes it for the first layer of a training backward,
+    /// whose input gradient nothing reads. Parameter gradients never
+    /// depend on that half, so they are bit-identical either way.
     ///
     /// A fused epilogue's gradient is *not* this layer's business: the
     /// planner rescales `ctx.grad` through
@@ -211,7 +216,7 @@ pub trait Layer: fmt::Debug + Send + Sync {
     /// # Panics
     ///
     /// Panics on inconsistent slice lengths.
-    fn backward_into(&mut self, ctx: BackwardCtx<'_>, grad_in: &mut [f32]);
+    fn backward_into(&mut self, ctx: BackwardCtx<'_>, grad_in: Option<&mut [f32]>);
 
     /// Whether this layer can fuse a following activation into its output
     /// epilogue (the GEMM-backed conv and dense layers).

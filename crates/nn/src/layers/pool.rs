@@ -136,7 +136,8 @@ impl Layer for MaxPool2 {
         }
     }
 
-    fn backward_into(&mut self, ctx: BackwardCtx<'_>, grad_in: &mut [f32]) {
+    fn backward_into(&mut self, ctx: BackwardCtx<'_>, grad_in: Option<&mut [f32]>) {
+        let Some(grad_in) = grad_in else { return };
         assert_eq!(
             ctx.grad.len(),
             ctx.idx.len(),

@@ -66,7 +66,8 @@ impl Layer for Relu {
         }
     }
 
-    fn backward_into(&mut self, ctx: BackwardCtx<'_>, grad_in: &mut [f32]) {
+    fn backward_into(&mut self, ctx: BackwardCtx<'_>, grad_in: Option<&mut [f32]>) {
+        let Some(grad_in) = grad_in else { return };
         // Subgradient convention: ReLU'(0) = 0, matching the forward
         // predicate `x > 0.0` (equivalently `y > 0.0`, which is what the
         // fused-epilogue gradient path uses).

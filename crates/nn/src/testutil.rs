@@ -26,7 +26,7 @@ pub(crate) fn infer(net: &Network, x: &Tensor) -> Tensor {
 pub(crate) fn train(net: &mut Network, x: &Tensor, grad: &[f32]) -> (Tensor, Tensor) {
     let mut ex = Executor::new();
     let y = ex.forward_train(net, x).to_vec();
-    let gin = ex.backward(net, grad).to_vec();
+    let gin = ex.backward_input_grad(net, grad).to_vec();
     (
         Tensor::from_vec(out_shape(&ex), y),
         Tensor::from_vec(x.shape().to_vec(), gin),

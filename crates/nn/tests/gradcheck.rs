@@ -4,9 +4,9 @@
 //! differences of the end-to-end loss — the strongest correctness evidence
 //! a from-scratch autodiff substrate can carry. Analytic gradients come
 //! from the planned training path (`Executor::forward_train` +
-//! `Executor::backward`), finite differences from planned inference
-//! (`Executor::infer`), so on SIMD hosts the check also spans conv's
-//! direct inference kernel against its im2col training path.
+//! `Executor::backward_input_grad`), finite differences from planned
+//! inference (`Executor::infer`), so on SIMD hosts the check also spans
+//! conv's direct inference kernel against its im2col training path.
 
 use hotspot_nn::engine::Executor;
 use hotspot_nn::layers::{Conv2d, Dense, Flatten, MaxPool2, Relu, Sigmoid, Tanh};
@@ -42,7 +42,7 @@ fn analytic_pass(net: &mut Network, x: &Tensor, target: &[f32; 2]) -> Vec<f32> {
     net.zero_grads();
     let logits = ex.forward_train(net, x);
     loss::softmax_cross_entropy_into(logits, target, &mut grad);
-    ex.backward(net, &grad).to_vec()
+    ex.backward_input_grad(net, &grad).to_vec()
 }
 
 /// Checks analytic parameter gradients against central finite differences.
@@ -102,7 +102,7 @@ fn check_param_gradients(mut net: Network, x: Tensor, stride: usize) {
     );
 }
 
-/// Checks the input gradient returned by `Executor::backward`.
+/// Checks the input gradient returned by `Executor::backward_input_grad`.
 fn check_input_gradient(mut net: Network, x: Tensor) {
     let target = [0.8f32, 0.2];
     let gin = analytic_pass(&mut net, &x, &target);
