@@ -170,13 +170,10 @@ mod tests {
         let _ = cfg.build();
     }
 
-    #[test]
-    fn scalar_training_bits_are_pinned() {
-        // Three seeded MGD steps of the Table-1 network. Under the scalar
-        // oracle (CI's scalar leg) the weights must stay bit for bit where
-        // the scalar kernels have always put them; SIMD tiers only differ
-        // within the ULP envelope, so they print their checksum and stop.
-        use hotspot_nn::gemm::{kernel_backend, KernelBackend};
+    /// CRC-32 of the Table-1 weights after three seeded MGD steps on the
+    /// resolved kernel backend.
+    fn three_step_weights_crc() -> u32 {
+        use hotspot_nn::gemm::kernel_backend;
         use hotspot_nn::optim;
         use hotspot_nn::serialize::{crc32, ParameterBlob};
         let cfg = CnnConfig::default();
@@ -202,9 +199,32 @@ mod tests {
             "table-1 weights after 3 MGD steps on {}: crc32 {crc:08x}",
             kernel_backend().name()
         );
-        if kernel_backend() != KernelBackend::Scalar {
-            return;
+        crc
+    }
+
+    #[test]
+    fn scalar_training_bits_are_pinned() {
+        // Under the scalar oracle (CI's scalar leg) the weights must stay
+        // bit for bit where the scalar kernels have always put them.
+        use hotspot_nn::gemm::{kernel_backend, KernelBackend};
+        let crc = three_step_weights_crc();
+        if kernel_backend() == KernelBackend::Scalar {
+            assert_eq!(crc, 0xbced_07a2);
         }
-        assert_eq!(crc, 0xbced_07a2);
+    }
+
+    #[test]
+    fn simd_training_bits_are_pinned() {
+        // Each SIMD tier differs from the oracle within the ULP envelope
+        // but is deterministic, so its weights are pinned too. CI's `auto`
+        // leg also runs this under `HOTSPOT_SIMD=avx2`, so an AVX-512
+        // runner checks both pins.
+        use hotspot_nn::gemm::{kernel_backend, KernelBackend};
+        let crc = three_step_weights_crc();
+        match kernel_backend() {
+            KernelBackend::Avx2 => assert_eq!(crc, 0x4334_5832),
+            KernelBackend::Avx512 => assert_eq!(crc, 0x70e1_51d4),
+            KernelBackend::Scalar => {}
+        }
     }
 }

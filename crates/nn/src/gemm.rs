@@ -715,9 +715,10 @@ mod avx2 {
     /// `gemm_nn`'s instance keeps its unit column stride as a constant.
     ///
     /// 4 rows × 16 columns of `C` held in 8 YMM accumulators; B rows are
-    /// loaded once per `k` step and shared across the 4 A broadcasts. The
-    /// FMA sequence per output element depends only on `k`, never on the
-    /// strides.
+    /// loaded once per `k` step and shared across the 4 A broadcasts.
+    /// Ragged `n` tails run in masked 8-lane strips, ragged `m` tails one
+    /// row at a time. The FMA sequence per output element depends only on
+    /// `k`, never on the strides or the tiling.
     ///
     /// # Safety
     ///
@@ -775,20 +776,29 @@ mod avx2 {
                 _mm256_storeu_ps(cp.add((i + 3) * n + j + 8), c31);
                 j += 16;
             }
-            // Tail columns repeat the vector lanes' arithmetic exactly — an
-            // FMA chain over `p` starting from `C` — so a column's bits never
-            // depend on whether it lands in a full tile or the tail. Batched
-            // conv scoring (`n = batch·oh·ow`) relies on that to stay
-            // bit-identical to per-window scoring.
+            // Tail columns run in masked 8-lane strips that repeat the
+            // tile's arithmetic exactly — an FMA chain over `p` starting
+            // from `C` — so a column's bits never depend on whether it
+            // lands in a full tile or the tail. Batched conv scoring
+            // (`n = batch·oh·ow`) relies on that to stay bit-identical to
+            // per-window scoring.
             while j < n {
-                for r in 0..4 {
-                    let mut acc = *cp.add((i + r) * n + j);
-                    for p in 0..k {
-                        acc = (*ap.add((i + r) * rs + p * cs)).mul_add(*bp.add(p * n + j), acc);
-                    }
-                    *cp.add((i + r) * n + j) = acc;
+                let mask = lane_mask(n - j);
+                let mut acc = [_mm256_setzero_ps(); 4];
+                for (r, accr) in acc.iter_mut().enumerate() {
+                    *accr = _mm256_maskload_ps(cp.add((i + r) * n + j), mask);
                 }
-                j += 1;
+                for p in 0..k {
+                    let bv = _mm256_maskload_ps(bp.add(p * n + j), mask);
+                    for (r, accr) in acc.iter_mut().enumerate() {
+                        let av = _mm256_set1_ps(*ap.add((i + r) * rs + p * cs));
+                        *accr = _mm256_fmadd_ps(av, bv, *accr);
+                    }
+                }
+                for (r, accr) in acc.iter().enumerate() {
+                    _mm256_maskstore_ps(cp.add((i + r) * n + j), mask, *accr);
+                }
+                j += (n - j).min(8);
             }
             i += 4;
         }
@@ -803,16 +813,29 @@ mod avx2 {
                 _mm256_storeu_ps(cp.add(i * n + j), acc);
                 j += 8;
             }
-            while j < n {
-                let mut acc = *cp.add(i * n + j);
+            if j < n {
+                let mask = lane_mask(n - j);
+                let mut acc = _mm256_maskload_ps(cp.add(i * n + j), mask);
                 for p in 0..k {
-                    acc = (*ap.add(i * rs + p * cs)).mul_add(*bp.add(p * n + j), acc);
+                    let bv = _mm256_maskload_ps(bp.add(p * n + j), mask);
+                    acc = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(i * rs + p * cs)), bv, acc);
                 }
-                *cp.add(i * n + j) = acc;
-                j += 1;
+                _mm256_maskstore_ps(cp.add(i * n + j), mask, acc);
             }
             i += 1;
         }
+    }
+
+    /// A `maskload`/`maskstore` mask selecting the first `min(lanes, 8)`
+    /// lanes.
+    ///
+    /// # Safety
+    ///
+    /// avx2 must be available.
+    #[target_feature(enable = "avx2")]
+    unsafe fn lane_mask(lanes: usize) -> __m256i {
+        let lanes = _mm256_set1_epi32(lanes.min(8) as i32);
+        _mm256_cmpgt_epi32(lanes, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7))
     }
 
     /// `c[m] += Aᵀ·b` with `A` stored `k×m` (the dense layer's dX): one
@@ -935,8 +958,9 @@ mod avx2 {
     unsafe fn gemm_nt_panel(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
         debug_assert!(a.len() == m * k && b.len() == n * k && c.len() == m * n);
         let mut panel = [[0.0f32; NT_ROWS]; super::NT_KC];
-        let mut column = [0.0f32; NT_ROWS];
+        let mut tile = [[0.0f32; NT_ROWS]; 8];
         let bp = b.as_ptr();
+        let cp = c.as_mut_ptr();
         let mut i0 = 0;
         while i0 < m {
             let rows = (m - i0).min(NT_ROWS);
@@ -969,10 +993,17 @@ mod avx2 {
                             }
                         }
                     }
-                    for (jj, accj) in acc.iter().take(cols).enumerate() {
-                        _mm256_storeu_ps(column.as_mut_ptr(), *accj);
-                        for (r, &v) in column.iter().take(rows).enumerate() {
-                            c[(i0 + r) * n + j + jj] += v;
+                    // Column jj of the tile holds output column j + jj;
+                    // add it to each output row's `cols` contiguous floats.
+                    // SAFETY: `c` is `m×n` (this function's contract), and
+                    // `i0 + r < m`, `j + jj < j + cols ≤ n`.
+                    for (t, accj) in tile.iter_mut().zip(&acc).take(cols) {
+                        _mm256_storeu_ps(t.as_mut_ptr(), *accj);
+                    }
+                    for r in 0..rows {
+                        let c_row = cp.add((i0 + r) * n + j);
+                        for (jj, t) in tile.iter().take(cols).enumerate() {
+                            *c_row.add(jj) += t[r];
                         }
                     }
                     j += cols;
@@ -1317,8 +1348,9 @@ mod avx512 {
     #[target_feature(enable = "avx512f")]
     unsafe fn gemm_nt_panel(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
         let mut panel = [[0.0f32; NT_ROWS]; super::NT_KC];
-        let mut column = [0.0f32; NT_ROWS];
+        let mut tile = [[0.0f32; NT_ROWS]; 8];
         let bp = b.as_ptr();
+        let cp = c.as_mut_ptr();
         let mut i0 = 0;
         while i0 < m {
             let rows = (m - i0).min(NT_ROWS);
@@ -1351,10 +1383,17 @@ mod avx512 {
                             }
                         }
                     }
-                    for (jj, accj) in acc.iter().take(cols).enumerate() {
-                        _mm512_storeu_ps(column.as_mut_ptr(), *accj);
-                        for (r, &v) in column.iter().take(rows).enumerate() {
-                            c[(i0 + r) * n + j + jj] += v;
+                    // Column jj of the tile holds output column j + jj;
+                    // add it to each output row's `cols` contiguous floats.
+                    // SAFETY: `c` is `m×n` (this function's contract), and
+                    // `i0 + r < m`, `j + jj < j + cols ≤ n`.
+                    for (t, accj) in tile.iter_mut().zip(&acc).take(cols) {
+                        _mm512_storeu_ps(t.as_mut_ptr(), *accj);
+                    }
+                    for r in 0..rows {
+                        let c_row = cp.add((i0 + r) * n + j);
+                        for (jj, t) in tile.iter().take(cols).enumerate() {
+                            *c_row.add(jj) += t[r];
                         }
                     }
                     j += cols;
@@ -1595,6 +1634,47 @@ mod tests {
     #[should_panic(expected = "not recognised")]
     fn override_parser_rejects_typos() {
         let _ = parse_override("sclar");
+    }
+
+    /// The AVX2 tile, its masked column strips and its remainder rows all
+    /// run one in-order FMA chain per element, starting from `C`: for
+    /// every `n` up to 40 (full tiles, every strip width, and both) each
+    /// element of `gemm_nn` and `gemm_tn` has that chain's bits.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_nn_and_tn_equal_a_per_element_fma_chain() {
+        if !(is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")) {
+            return; // the AVX2 tier cannot run on this CPU
+        }
+        let mut rng = StdRng::seed_from_u64(12);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in 1..=40 {
+            for &(m, k) in &[(1usize, 1usize), (4, 7), (7, 33), (9, 16)] {
+                let a = random_matrix(&mut rng, m * k);
+                let b = random_matrix(&mut rng, k * n);
+                let seed = random_matrix(&mut rng, m * n);
+                let chain = |a_at: &dyn Fn(usize, usize) -> f32| {
+                    let mut c = seed.clone();
+                    for i in 0..m {
+                        for j in 0..n {
+                            let acc = &mut c[i * n + j];
+                            for p in 0..k {
+                                *acc = a_at(i, p).mul_add(b[p * n + j], *acc);
+                            }
+                        }
+                    }
+                    c
+                };
+                let mut nn = seed.clone();
+                avx2::gemm_nn_shim(m, n, k, &a, &b, &mut nn);
+                let want = chain(&|i, p| a[i * k + p]);
+                assert_eq!(bits(&nn), bits(&want), "nn m={m} n={n} k={k}");
+                let mut tn = seed.clone();
+                avx2::gemm_tn_shim(m, n, k, &a, &b, &mut tn);
+                let want = chain(&|i, p| a[p * m + i]);
+                assert_eq!(bits(&tn), bits(&want), "tn m={m} n={n} k={k}");
+            }
+        }
     }
 
     /// Every compiled backend must agree with the scalar oracle within the

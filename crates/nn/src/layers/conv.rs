@@ -21,6 +21,7 @@ use crate::Tensor;
 use crate::{gemm, init};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::ops::Range;
 
 /// Widest image the direct AVX-512 3×3 kernel handles (one output row of
 /// per-pixel accumulators held entirely in registers).
@@ -126,10 +127,10 @@ impl Conv2d {
     /// `x[ic][oy+ky-pad][ox+kx-pad]` (zero outside the image).
     ///
     /// Writes into a caller-provided slice (a planned workspace region).
-    /// Every element of `col` is written exactly once —
-    /// either a copy from `x` or an explicit padding zero — so no upfront
-    /// full-buffer memset is needed and stale contents from a previous
-    /// window never leak into the padding.
+    /// Every element of `col` is written — either a copy from `x` or an
+    /// explicit padding zero — so no upfront full-buffer memset is needed
+    /// and stale contents from a previous window never leak into the
+    /// padding.
     #[allow(clippy::too_many_arguments)]
     fn im2col_into(
         col: &mut [f32],
@@ -153,6 +154,10 @@ impl Conv2d {
     /// one [`gemm::gemm_nn`] call convolves the whole block while each
     /// column's arithmetic — and therefore each window's output — is
     /// unchanged.
+    ///
+    /// A "same" shape (`oh = h`, `ow = w`) takes [`Conv2d::im2col_block`];
+    /// every other shape the per-row [`Conv2d::im2col_rows`]. Both write
+    /// the same bits.
     #[allow(clippy::too_many_arguments)]
     fn im2col_strided_into(
         col: &mut [f32],
@@ -167,10 +172,39 @@ impl Conv2d {
         row_stride: usize,
         col_off: usize,
     ) {
+        assert_eq!(
+            col.len(),
+            in_c * ksize * ksize * row_stride,
+            "im2col buffer length"
+        );
+        assert!(col_off + oh * ow <= row_stride, "im2col column range");
+        assert_eq!(x.len(), in_c * h * w, "im2col input length");
+        if (oh, ow) == (h, w) {
+            Self::im2col_block(col, x, in_c, ksize, h, w, row_stride, col_off);
+        } else {
+            Self::im2col_rows(col, x, in_c, ksize, pad, h, w, oh, ow, row_stride, col_off);
+        }
+    }
+
+    /// The general unfold: one copy per output row of each `col` row.
+    /// Serves every shape, and is the oracle [`Conv2d::im2col_block`] is
+    /// tested against.
+    #[allow(clippy::too_many_arguments)]
+    fn im2col_rows(
+        col: &mut [f32],
+        x: &[f32],
+        in_c: usize,
+        ksize: usize,
+        pad: usize,
+        h: usize,
+        w: usize,
+        oh: usize,
+        ow: usize,
+        row_stride: usize,
+        col_off: usize,
+    ) {
         let k = ksize;
         let pad = pad as isize;
-        assert_eq!(col.len(), in_c * k * k * row_stride, "im2col buffer length");
-        assert!(col_off + oh * ow <= row_stride, "im2col column range");
         for ic in 0..in_c {
             let plane = &x[ic * h * w..(ic + 1) * h * w];
             for ky in 0..k {
@@ -205,13 +239,122 @@ impl Conv2d {
         }
     }
 
+    /// The unfold of a "same" shape (`oh = h`, `ow = w`, so `pad =
+    /// (k−1)/2`), a whole plane per `col` row: zero the output rows above
+    /// and below the image, copy the rest as one shifted block (see
+    /// [`same_shift`]), then zero the columns the shift wrapped onto a
+    /// neighbouring image row. Every element ends up with the bits
+    /// [`Conv2d::im2col_rows`] writes there.
+    #[allow(clippy::too_many_arguments)]
+    fn im2col_block(
+        col: &mut [f32],
+        x: &[f32],
+        in_c: usize,
+        k: usize,
+        h: usize,
+        w: usize,
+        row_stride: usize,
+        col_off: usize,
+    ) {
+        let hw = h * w;
+        for ky in 0..k {
+            for kx in 0..k {
+                let shift = same_shift(k, h, w, ky, kx);
+                for ic in 0..in_c {
+                    let plane = &x[ic * hw..(ic + 1) * hw];
+                    let row_base = ((ic * k + ky) * k + kx) * row_stride + col_off;
+                    let dst = &mut col[row_base..row_base + hw];
+                    let Some(sh) = &shift else {
+                        dst.fill(0.0); // every sample lies in the zero padding
+                        continue;
+                    };
+                    dst[..sh.rows.start * w].fill(0.0);
+                    dst[sh.rows.end * w..].fill(0.0);
+                    let src = &plane[sh.source..sh.source + sh.span.len()];
+                    dst[sh.span.clone()].copy_from_slice(src);
+                    sh.zero_wrapped(dst, w);
+                }
+            }
+        }
+    }
+
     /// Folds `dcol` back into an input-shaped gradient `grad_in`
     /// (scatter-add inverse of [`Conv2d::im2col_into`]; `grad_in` must be
-    /// zero-filled by the caller).
-    fn col2im(&self, dcol: &[f32], grad_in: &mut [f32], h: usize, w: usize, oh: usize, ow: usize) {
-        let k = self.ksize;
-        let pad = self.pad as isize;
-        for ic in 0..self.in_c {
+    /// zero-filled by the caller). A "same" shape takes
+    /// [`Conv2d::col2im_block`], which overwrites the entries of `dcol`
+    /// that sample the padding; every other shape the per-row
+    /// [`Conv2d::col2im_rows`]. Both leave the same bits in `grad_in`.
+    fn col2im(
+        &self,
+        dcol: &mut [f32],
+        grad_in: &mut [f32],
+        h: usize,
+        w: usize,
+        oh: usize,
+        ow: usize,
+    ) {
+        if (oh, ow) == (h, w) {
+            Self::col2im_block(dcol, grad_in, self.in_c, self.ksize, h, w);
+        } else {
+            Self::col2im_rows(dcol, grad_in, self.in_c, self.ksize, self.pad, h, w, oh, ow);
+        }
+    }
+
+    /// The fold of a "same" shape: one contiguous shifted add per `dcol`
+    /// row. Channels fold into disjoint planes, so running `ic` inside
+    /// `(ky, kx)` (one [`same_shift`] per tap) still gives every element
+    /// its additions in the per-row path's `(ky, kx)` order. The add also
+    /// covers the wrapped columns, whose values belong to no input
+    /// element, so those `dcol` entries — backward scratch, rewritten
+    /// every call — are zeroed first. Adding `+0.0` changes no sum here:
+    /// every sum starts at `+0.0`, and a sum from `+0.0` is never `-0.0`.
+    /// So each element gets the same additions as in
+    /// [`Conv2d::col2im_rows`], in the same order, and the same bits.
+    fn col2im_block(
+        dcol: &mut [f32],
+        grad_in: &mut [f32],
+        in_c: usize,
+        k: usize,
+        h: usize,
+        w: usize,
+    ) {
+        let hw = h * w;
+        for ky in 0..k {
+            for kx in 0..k {
+                let Some(sh) = same_shift(k, h, w, ky, kx) else {
+                    continue; // every sample lies in the zero padding
+                };
+                let dst = sh.source..sh.source + sh.span.len();
+                for ic in 0..in_c {
+                    let plane = &mut grad_in[ic * hw..(ic + 1) * hw];
+                    let row_base = ((ic * k + ky) * k + kx) * hw;
+                    let src = &mut dcol[row_base..row_base + hw];
+                    sh.zero_wrapped(src, w);
+                    for (d, s) in plane[dst.clone()].iter_mut().zip(&src[sh.span.clone()]) {
+                        *d += s;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The general fold: one add run per output row of each `dcol` row.
+    /// Serves every shape, and is the oracle [`Conv2d::col2im_block`] is
+    /// tested against.
+    #[allow(clippy::too_many_arguments)]
+    fn col2im_rows(
+        dcol: &[f32],
+        grad_in: &mut [f32],
+        in_c: usize,
+        k: usize,
+        pad: usize,
+        h: usize,
+        w: usize,
+        oh: usize,
+        ow: usize,
+    ) {
+        let pad = pad as isize;
+        for ic in 0..in_c {
             let plane = &mut grad_in[ic * h * w..(ic + 1) * h * w];
             for ky in 0..k {
                 for kx in 0..k {
@@ -378,6 +521,62 @@ impl Conv2d {
         }
         out
     }
+}
+
+/// Where row `(·, ky, kx)` of a "same" unfold (odd `k`, pad `(k−1)/2`,
+/// output `h × w`) samples its input plane, as returned by
+/// [`same_shift`]. Element `q = oy·w + ox` of the row samples plane
+/// element `q + s`, with `s = (ky − pad)·w + (kx − pad)`, wherever that
+/// sample lies inside the image.
+struct SameShift {
+    /// Output rows `oy` whose source row lies inside the image.
+    rows: Range<usize>,
+    /// Columns `ox` of those rows whose source column lies outside it:
+    /// there `q + s` has wrapped onto a neighbouring image row.
+    wrap: Range<usize>,
+    /// The `q` of `rows` whose `q + s` lies inside the plane. The `q` of
+    /// `rows` outside `span` are all wrapped columns.
+    span: Range<usize>,
+    /// The plane element that `span.start` samples, `span.start + s`.
+    source: usize,
+}
+
+impl SameShift {
+    /// Zeroes the wrapped columns of one `h·w` unfold row, a column at a
+    /// time: a few floats per image row, too short for a `fill` per row.
+    fn zero_wrapped(&self, row: &mut [f32], w: usize) {
+        for c in self.wrap.clone() {
+            for oy in self.rows.clone() {
+                row[oy * w + c] = 0.0;
+            }
+        }
+    }
+}
+
+/// The [`SameShift`] of row `(·, ky, kx)`, or `None` when every sample of
+/// the row lies in the zero padding.
+fn same_shift(k: usize, h: usize, w: usize, ky: usize, kx: usize) -> Option<SameShift> {
+    let pad = (k / 2) as isize;
+    let (dy, dx) = (ky as isize - pad, kx as isize - pad);
+    let (hi, wi) = (h as isize, w as isize);
+    let rows = (-dy).clamp(0, hi) as usize..(hi - dy).clamp(0, hi) as usize;
+    if rows.is_empty() || dx.abs() >= wi {
+        return None;
+    }
+    let wrap = if dx < 0 {
+        0..dx.unsigned_abs()
+    } else {
+        w - dx as usize..w
+    };
+    let s = dy * wi + dx;
+    let span = ((rows.start * w) as isize).max(-s) as usize
+        ..((rows.end * w) as isize).min(hi * wi - s) as usize;
+    Some(SameShift {
+        source: (span.start as isize + s) as usize,
+        rows,
+        wrap,
+        span,
+    })
 }
 
 /// The AVX-512 direct 3×3 "same" convolution kernel.
@@ -974,6 +1173,84 @@ mod tests {
                     "({}, {}, {}, {}, {}, {}): {} vs {}",
                     in_c, out_c, k, pad, h, w, a, b
                 );
+            }
+        }
+    }
+
+    /// Values mixing `+0.0`, `-0.0`, `1.0` and random floats.
+    fn mixed_values(rng: &mut StdRng, len: usize) -> Vec<f32> {
+        (0..len)
+            .map(|_| match rng.gen_range(0..4) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => 1.0,
+                _ => rng.gen_range(-2.0f32..2.0),
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The block unfold and fold write the per-row paths' bits: "same"
+        /// shapes through the block functions, every other padding through
+        /// the dispatching entry points, which must take the per-row path.
+        #[test]
+        fn block_lowering_is_bit_identical_to_per_row(
+            seed in 0u64..1_000_000,
+            in_c in 1usize..=4,
+            k in proptest::prop_oneof![
+                proptest::strategy::Just(1usize),
+                proptest::strategy::Just(3usize),
+                proptest::strategy::Just(5usize),
+            ],
+            pad_kind in 0usize..3,
+            h in 1usize..=13,
+            w in 1usize..=13,
+            batch in 1usize..=3,
+        ) {
+            let pad = [k / 2, 0, k / 2 + 1][pad_kind];
+            // A valid convolution needs the kernel to fit in the image.
+            let (h, w) = if pad == 0 { (h.max(k), w.max(k)) } else { (h, w) };
+            let conv = Conv2d::new(in_c, 1, k, pad, seed);
+            let (oh, ow) = conv.out_hw(h, w);
+            let same = (oh, ow) == (h, w);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let x = mixed_values(&mut rng, in_c * h * w);
+            let label = format!("in_c {in_c} k {k} pad {pad} h {h} w {w} batch {batch}");
+
+            // Unfold sample `b` of a batched matrix over stale contents:
+            // both paths must overwrite the same elements with the same bits.
+            let b = rng.gen_range(0..batch);
+            let (stride, off) = (batch * oh * ow, b * oh * ow);
+            let stale = vec![f32::from_bits(0x7fc0_0bad); in_c * k * k * stride];
+            let mut want = stale.clone();
+            Conv2d::im2col_rows(&mut want, &x, in_c, k, pad, h, w, oh, ow, stride, off);
+            let mut got = stale.clone();
+            Conv2d::im2col_strided_into(&mut got, &x, in_c, k, pad, h, w, oh, ow, stride, off);
+            proptest::prop_assert_eq!(bits(&got), bits(&want), "im2col {}", &label);
+            if same {
+                let mut block = stale;
+                Conv2d::im2col_block(&mut block, &x, in_c, k, h, w, stride, off);
+                proptest::prop_assert_eq!(bits(&block), bits(&want), "block im2col {}", &label);
+            }
+
+            // Fold into a zero-filled gradient, as the backward contract
+            // requires; the block fold may overwrite its copy of `dcol`.
+            let dcol = mixed_values(&mut rng, in_c * k * k * oh * ow);
+            let mut want = vec![0.0f32; in_c * h * w];
+            Conv2d::col2im_rows(&dcol, &mut want, in_c, k, pad, h, w, oh, ow);
+            let mut got = vec![0.0f32; in_c * h * w];
+            conv.col2im(&mut dcol.clone(), &mut got, h, w, oh, ow);
+            proptest::prop_assert_eq!(bits(&got), bits(&want), "col2im {}", &label);
+            if same {
+                let mut block = vec![0.0f32; in_c * h * w];
+                Conv2d::col2im_block(&mut dcol.clone(), &mut block, in_c, k, h, w);
+                proptest::prop_assert_eq!(bits(&block), bits(&want), "block col2im {}", &label);
             }
         }
     }

@@ -168,11 +168,11 @@ fn take_line(buf: &mut Vec<u8>, searched: &mut usize) -> Option<Vec<u8>> {
     }
 }
 
-/// Writes one reply line; `false` when the peer is gone.
-fn write_reply(mut writer: &UnixStream, reply: &str) -> bool {
-    writer.write_all(reply.as_bytes()).is_ok()
-        && writer.write_all(b"\n").is_ok()
-        && writer.flush().is_ok()
+/// Writes one reply line, newline included, in one `write_all`, so a
+/// reply costs one syscall. `false` when the peer is gone.
+fn write_reply(mut writer: impl Write, mut reply: String) -> bool {
+    reply.push('\n');
+    writer.write_all(reply.as_bytes()).is_ok() && writer.flush().is_ok()
 }
 
 /// Reads newline-delimited request lines, writes one reply line each.
@@ -191,7 +191,7 @@ fn handle_connection(engine: &Engine, stream: UnixStream) {
             ErrorKind::Data,
             format!("request line exceeds {MAX_LINE_BYTES} bytes; closing the connection"),
         );
-        write_reply(&stream, &engine.error_reply(None, error));
+        write_reply(&stream, engine.error_reply(None, error));
     };
     loop {
         match reader.read(&mut chunk) {
@@ -207,7 +207,7 @@ fn handle_connection(engine: &Engine, stream: UnixStream) {
                         continue;
                     }
                     let (reply, control) = engine.handle_line(&line);
-                    if !write_reply(&stream, &reply) || control == Control::Shutdown {
+                    if !write_reply(&stream, reply) || control == Control::Shutdown {
                         return;
                     }
                 }
@@ -238,6 +238,8 @@ fn handle_connection(engine: &Engine, stream: UnixStream) {
 pub struct ClientConn {
     stream: UnixStream,
     buf: Vec<u8>,
+    /// The request line being sent, reused across requests.
+    out: Vec<u8>,
 }
 
 impl ClientConn {
@@ -250,6 +252,7 @@ impl ClientConn {
         Ok(ClientConn {
             stream: UnixStream::connect(socket)?,
             buf: Vec::new(),
+            out: Vec::new(),
         })
     }
 
@@ -260,8 +263,11 @@ impl ClientConn {
     /// Transport failures, including the daemon closing the connection
     /// before replying.
     pub fn request(&mut self, line: &str) -> io::Result<String> {
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")?;
+        // Line and newline in one write: one syscall per request.
+        self.out.clear();
+        self.out.extend_from_slice(line.as_bytes());
+        self.out.push(b'\n');
+        self.stream.write_all(&self.out)?;
         self.stream.flush()?;
         self.read_line()
     }
@@ -292,4 +298,33 @@ impl ClientConn {
 /// Transport failures (see [`ClientConn::request`]).
 pub fn client_roundtrip(socket: &Path, line: &str) -> io::Result<String> {
     ClientConn::connect(socket)?.request(line)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A writer that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_reply_is_one_write_call() {
+        let mut w = CountingWriter::default();
+        assert!(write_reply(&mut w, r#"{"ok":true}"#.to_string()));
+        assert_eq!(w.writes, vec![b"{\"ok\":true}\n".to_vec()]);
+    }
 }
