@@ -14,7 +14,7 @@ use hotspot_core::metrics::EvalResult;
 use hotspot_core::mgd::{self, MgdConfig};
 use hotspot_datagen::suite::SuiteSpec;
 use hotspot_nn::layers::{Conv2d, Dense, Dropout, Flatten, Layer, MaxPool2, Relu, Sigmoid, Tanh};
-use hotspot_nn::Network;
+use hotspot_nn::{Network, Parallelism};
 
 #[derive(Clone, Copy)]
 enum Activation {
@@ -101,7 +101,10 @@ fn main() {
         let mut net = build(k, act, 2017);
         let report =
             mgd::train(&mut net, &train_x, &train_y, 0.0, &mgd_cfg).expect("training runs");
-        let preds = mgd::predict_all(&net, &test_x);
+        let preds: Vec<bool> = mgd::hotspot_probs(&net, &test_x, Parallelism::serial())
+            .into_iter()
+            .map(|p| p > 0.5)
+            .collect();
         let result = EvalResult::from_predictions(&preds, &test_y, 0.0);
         rows.push(vec![
             act.name().to_string(),

@@ -16,6 +16,7 @@ use hotspot_bench::{build_benchmark, detector_config, oracle, table, ExperimentA
 use hotspot_core::calibration::expected_calibration_error;
 use hotspot_core::metrics::EvalResult;
 use hotspot_core::mgd::{self, MgdConfig};
+use hotspot_core::Parallelism;
 use hotspot_datagen::suite::SuiteSpec;
 
 fn main() {
@@ -57,7 +58,10 @@ fn main() {
     let mut rows = Vec::new();
     let mut record = |net: &hotspot_nn::Network, eps: f32| {
         let ece = expected_calibration_error(net, &test_x, &test_y, 10);
-        let preds = mgd::predict_all(net, &test_x);
+        let preds: Vec<bool> = mgd::hotspot_probs(net, &test_x, Parallelism::serial())
+            .into_iter()
+            .map(|p| p > 0.5)
+            .collect();
         let r = EvalResult::from_predictions(&preds, &test_y, 0.0);
         rows.push(vec![
             format!("{eps:.1}"),

@@ -50,7 +50,7 @@
 
 use hotspot_bench::ExperimentArgs;
 use hotspot_core::CnnConfig;
-use hotspot_nn::engine::Workspace;
+use hotspot_nn::engine::{BatchScorer, Workspace};
 use hotspot_nn::{loss, Tensor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -183,48 +183,42 @@ fn main() {
     let mut soft = vec![0.0f32; 2];
     let plan = net.plan(&[k, n, n]);
 
-    // Batched-path state: the scan scoring loop after this PR — blocks of
-    // windows scored through one batched plan (one GEMM per layer per
-    // block), with a smaller plan for the ragged final block. Both plans
-    // are built up front; a full warm-up pass sizes the shared arena for
-    // both, after which scoring a block allocates nothing.
+    // Batched-path state: the scan's scoring loop — blocks of windows
+    // copied into one `BatchScorer` capped at the block size and scored
+    // one GEMM per layer per block; the scorer caches a plan for the full
+    // block and one for the ragged final block. A full warm-up pass builds
+    // both plans and sizes the input block and the shared arena, after
+    // which scoring a block allocates nothing.
     let block = args
         .usize("block", plan.suggested_batch())
         .min(windows)
         .max(1);
-    let block_plan = net.plan_batch(&[k, n, n], block);
-    let tail = windows % block;
-    let tail_plan = if tail > 0 {
-        Some(net.plan_batch(&[k, n, n], tail))
-    } else {
-        None
-    };
     let n_blocks = windows.div_ceil(block);
     let mut batched_scores = vec![0.0f32; windows];
     let mut batched_secs = f64::INFINITY;
     let mut batched_steady_allocs = 0u64;
-    let mut wsb = Workspace::new();
+    let mut scorer = BatchScorer::with_block_cap(block);
     let mut softb = vec![0.0f32; 2];
-    let batched_pass = |ws: &mut Workspace, out: &mut [f32], soft: &mut [f32]| {
-        for (chunk, s) in features_flat
-            .chunks(block * feat_len)
-            .zip(out.chunks_mut(block))
-        {
-            let p = if s.len() == block {
-                &block_plan
-            } else {
-                tail_plan.as_ref().unwrap_or(&block_plan)
-            };
-            let logits = net.forward_batch_with(p, ws, chunk);
-            for (y, si) in logits.chunks_exact(2).zip(s.iter_mut()) {
+    let feat_len = k * n * n;
+    let mut batched_pass = |out: &mut [f32], soft: &mut [f32]| {
+        let filled = scorer.infer_each(
+            &net,
+            &[k, n, n],
+            windows,
+            |i, dst| {
+                dst.copy_from_slice(&features_flat[i * feat_len..(i + 1) * feat_len]);
+                Ok::<(), std::convert::Infallible>(())
+            },
+            |i, y| {
                 loss::softmax_into(y, soft);
-                *si = soft[1];
-            }
-        }
+                out[i] = soft[1];
+            },
+        );
+        let Ok(()) = filled;
     };
-    // Warm-up: one full pass builds the arena for the block plan AND the
-    // ragged tail plan, so every rep below measures steady state.
-    batched_pass(&mut wsb, &mut batched_scores, &mut softb);
+    // Warm-up: one full pass builds the block and tail plans and the
+    // arena, so every rep below measures steady state.
+    batched_pass(&mut batched_scores, &mut softb);
 
     for _ in 0..reps {
         // Legacy rep.
@@ -269,7 +263,7 @@ fn main() {
         // touch the allocator zero times.
         let before = alloc_count();
         let start = Instant::now();
-        batched_pass(&mut wsb, &mut batched_scores, &mut softb);
+        batched_pass(&mut batched_scores, &mut softb);
         batched_secs = batched_secs.min(start.elapsed().as_secs_f64());
         batched_steady_allocs = alloc_count() - before;
     }
@@ -283,7 +277,7 @@ fn main() {
         loss::softmax_into(logits, &mut soft);
     }
     let g1 = hotspot_nn::gemm::gemm_call_count();
-    batched_pass(&mut wsb, &mut batched_scores, &mut softb);
+    batched_pass(&mut batched_scores, &mut softb);
     let g2 = hotspot_nn::gemm::gemm_call_count();
     let planned_gemm_per_window = (g1 - g0) as f64 / windows as f64;
     let batched_gemm_per_window = (g2 - g1) as f64 / windows as f64;

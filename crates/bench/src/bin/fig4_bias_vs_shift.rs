@@ -18,7 +18,7 @@ use hotspot_core::mgd::{self, MgdConfig};
 use hotspot_core::shift;
 use hotspot_datagen::suite::SuiteSpec;
 use hotspot_nn::serialize::ParameterBlob;
-use hotspot_nn::Tensor;
+use hotspot_nn::{Parallelism, Tensor};
 
 fn main() {
     let args = ExperimentArgs::from_env();
@@ -126,7 +126,10 @@ fn main() {
 }
 
 fn evaluate(net: &hotspot_nn::Network, features: &[Tensor], labels: &[bool]) -> EvalResult {
-    // All cores; bit-identical to the serial predict_all.
-    let preds = mgd::predict_all_with(net, features, hotspot_core::Parallelism::auto());
+    // All cores; bit-identical to serial scoring.
+    let preds: Vec<bool> = mgd::hotspot_probs(net, features, Parallelism::auto())
+        .into_iter()
+        .map(|p| p > 0.5)
+        .collect();
     EvalResult::from_predictions(&preds, labels, 0.0)
 }

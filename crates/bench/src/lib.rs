@@ -9,7 +9,7 @@ pub mod args;
 pub mod baseline;
 pub mod table;
 
-pub use args::ExperimentArgs;
+pub use args::{ArgsError, ExperimentArgs};
 
 use hotspot_datagen::suite::{BenchmarkData, SuiteSpec};
 use hotspot_litho::{LithoConfig, LithoSimulator};
@@ -24,25 +24,36 @@ pub fn oracle() -> LithoSimulator {
     LithoSimulator::new(LithoConfig::default()).expect("default litho config is valid")
 }
 
+/// [`try_detector_config`], panicking on a malformed flag.
+pub fn detector_config(args: &ExperimentArgs) -> hotspot_core::DetectorConfig {
+    try_detector_config(args).unwrap_or_else(|e| panic!("{e}"))
+}
+
 /// Builds the CNN detector configuration shared by the experiments from
 /// the common flags: `--k` (feature-tensor coefficients, default 32),
 /// `--steps` (initial MGD step budget, default 800), `--batch` (default
 /// 32), `--seed`, `--rounds` (biased-learning rounds, default 4) and
 /// `--eps-step` (bias step, default 0.1).
-pub fn detector_config(args: &ExperimentArgs) -> hotspot_core::DetectorConfig {
+///
+/// # Errors
+///
+/// A flag that does not parse, or a `--k` the feature pipeline rejects.
+pub fn try_detector_config(
+    args: &ExperimentArgs,
+) -> Result<hotspot_core::DetectorConfig, ArgsError> {
     use hotspot_core::{BiasedLearningConfig, DetectorConfig, MgdConfig};
 
-    let steps = args.usize("steps", 800);
+    let steps = args.try_usize("steps", 800)?;
     let mgd = MgdConfig {
         lr: 1e-3,
         alpha: 0.5,
         decay_step: (steps / 3).max(1),
-        batch_size: args.usize("batch", 32),
+        batch_size: args.try_usize("batch", 32)?,
         max_steps: steps,
         val_interval: (steps / 10).max(1),
         patience: 5,
         val_fraction: 0.25,
-        seed: args.u64("seed", 42),
+        seed: args.try_u64("seed", 42)?,
         balanced_sampling: true,
         threads: 1,
     };
@@ -51,17 +62,23 @@ pub fn detector_config(args: &ExperimentArgs) -> hotspot_core::DetectorConfig {
         lr: 5e-4,
         ..mgd.clone()
     };
+    let k = args.try_usize("k", 32)?;
     let mut config = DetectorConfig::default();
-    config.pipeline = hotspot_core::FeaturePipeline::new(10, 12, args.usize("k", 32))
-        .expect("valid pipeline parameters");
+    config.pipeline = hotspot_core::FeaturePipeline::new(10, 12, k).map_err(|e| {
+        ArgsError::bad_value(
+            "k",
+            &k.to_string(),
+            &format!("a valid coefficient count ({e})"),
+        )
+    })?;
     config.mgd = mgd.clone();
     config.biased = BiasedLearningConfig {
-        epsilon_step: args.f64("eps-step", 0.1) as f32,
-        rounds: args.usize("rounds", 4),
+        epsilon_step: args.try_f64("eps-step", 0.1)? as f32,
+        rounds: args.try_usize("rounds", 4)?,
         initial: mgd,
         fine_tune,
     };
-    config
+    Ok(config)
 }
 
 /// Generates one benchmark at the given scale, logging progress.

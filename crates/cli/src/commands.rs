@@ -77,7 +77,7 @@ fn required<'a>(args: &'a ExperimentArgs, key: &str) -> Result<&'a str, CliError
 /// Usage, generation and I/O failures.
 pub fn cmd_gen(args: &ExperimentArgs) -> Result<String, CliError> {
     let suite = args.string("suite", "iccad");
-    let scale = args.f64("scale", 0.01);
+    let scale = args.try_f64("scale", 0.01)?;
     let dir = required(args, "dir")?.to_string();
     let spec = SuiteSpec::by_name(&suite, scale).ok_or_else(|| {
         CliError::Usage(format!(
@@ -211,39 +211,49 @@ fn run_tag(config: &DetectorConfig, k: usize) -> String {
 /// Usage, data-consistency, checkpoint-mismatch, training and I/O
 /// failures.
 pub fn cmd_train(args: &ExperimentArgs) -> Result<String, CliError> {
-    let clips = load_clips(required(args, "clips")?)?;
-    let labels = load_labels(required(args, "labels")?, clips.len())?;
+    let clips_path = required(args, "clips")?;
+    let labels_path = required(args, "labels")?;
     let model_path = required(args, "model")?.to_string();
 
-    let dataset: Dataset = clips
-        .into_iter()
-        .zip(labels)
-        .map(|(clip, hotspot)| Sample::new(clip, hotspot))
-        .collect();
+    // Every flag is read before any file, so a malformed one fails fast.
+    // `try_detector_config` has already rejected an invalid explicit `--k`.
+    let mut config: DetectorConfig = hotspot_bench::try_detector_config(args)?;
+    let k = args.try_usize("k", 16)?;
+    config.pipeline = FeaturePipeline::new(10, 12, k)?;
+    config.biased.rounds = args.try_usize("rounds", 2)?;
+    let cascade = match args.get("cascade") {
+        Some(path) => Some((
+            path,
+            CascadeConfig {
+                grid_dim: args.try_usize("cascade-grid", 12)?,
+                rounds: args.try_usize("cascade-rounds", 64)?,
+                target_fnr: args.try_f64("cascade-fnr", 0.0)?,
+                holdout_fraction: args.try_f64("cascade-holdout", 0.25)?,
+            },
+        )),
+        None => None,
+    };
 
-    let mut config: DetectorConfig = hotspot_bench::detector_config(args);
-    let k = args.usize("k", 16);
-    config.pipeline =
-        FeaturePipeline::new(10, 12, k).map_err(|e| CliError::Usage(format!("invalid k: {e}")))?;
-    config.biased.rounds = args.usize("rounds", 2);
-
-    let checkpoint_every = args.usize("checkpoint-every", 0);
+    let checkpoint_every = args.try_usize("checkpoint-every", 0)?;
     let checkpoint_path = args
         .get("checkpoint")
         .map_or_else(|| format!("{model_path}.ckpt"), str::to_string);
     let best_path = format!("{model_path}.best");
     let mut tag = run_tag(&config, k);
-    let active = args.get("active").map(|_| ActiveConfig {
-        rounds: args.usize("active", 2),
-        batch: args.usize("active-batch", 10),
-        clusters: args.usize("active-clusters", 0),
-        candidate_factor: args.usize("active-factor", 4),
-        epsilon: args.f64("active-epsilon", 0.1) as f32,
-        fine_tune: config.schedule().fine_tune,
-        seed: args.usize("active-seed", 13) as u64,
-    });
-    let pool_size = args.usize("pool", 200);
-    let pool_seed = args.usize("pool-seed", 7) as u64;
+    let active = match args.get("active") {
+        Some(_) => Some(ActiveConfig {
+            rounds: args.try_usize("active", 2)?,
+            batch: args.try_usize("active-batch", 10)?,
+            clusters: args.try_usize("active-clusters", 0)?,
+            candidate_factor: args.try_usize("active-factor", 4)?,
+            epsilon: args.try_f64("active-epsilon", 0.1)? as f32,
+            fine_tune: config.schedule().fine_tune,
+            seed: args.try_usize("active-seed", 13)? as u64,
+        }),
+        None => None,
+    };
+    let pool_size = args.try_usize("pool", 200)?;
+    let pool_seed = args.try_usize("pool-seed", 7)? as u64;
     if let Some(a) = &active {
         // The pool and acquisition knobs shape the trajectory too; bake
         // them into the resume fingerprint.
@@ -259,6 +269,13 @@ pub fn cmd_train(args: &ExperimentArgs) -> Result<String, CliError> {
             pool_seed,
         ));
     }
+    let clips = load_clips(clips_path)?;
+    let labels = load_labels(labels_path, clips.len())?;
+    let dataset: Dataset = clips
+        .into_iter()
+        .zip(labels)
+        .map(|(clip, hotspot)| Sample::new(clip, hotspot))
+        .collect();
     let seed = config.mgd.seed;
     let threads = config.mgd.threads;
 
@@ -350,14 +367,8 @@ pub fn cmd_train(args: &ExperimentArgs) -> Result<String, CliError> {
         blob: detector.export_parameters(),
     };
     write_atomic(Path::new(&model_path), &model.to_bytes())?;
-    let cascade_note = match args.get("cascade") {
-        Some(cascade_path) => {
-            let cascade_config = CascadeConfig {
-                grid_dim: args.usize("cascade-grid", 12),
-                rounds: args.usize("cascade-rounds", 64),
-                target_fnr: args.f64("cascade-fnr", 0.0),
-                holdout_fraction: args.f64("cascade-holdout", 0.25),
-            };
+    let cascade_note = match cascade {
+        Some((cascade_path, cascade_config)) => {
             let prefilter = detector.train_prefilter(&dataset, &cascade_config)?;
             write_atomic(Path::new(cascade_path), &prefilter.to_bytes())?;
             Some(format!(
@@ -477,10 +488,10 @@ fn cmd_train_active(
 ///
 /// Usage, model-format and I/O failures.
 pub fn cmd_predict(args: &ExperimentArgs) -> Result<String, CliError> {
+    let threshold = args.try_f64("threshold", 0.5)? as f32;
     let clips = load_clips(required(args, "clips")?)?;
     let model = ModelFile::from_bytes(&fs::read(required(args, "model")?)?)?;
     let detector = HotspotDetector::from_network(model.pipeline()?, model.network()?);
-    let threshold = args.f64("threshold", 0.5) as f32;
     let mut out = String::new();
     for p in detector.predict_batch(&clips)? {
         out.push_str(&format!(
@@ -529,13 +540,13 @@ pub fn cmd_eval(args: &ExperimentArgs) -> Result<String, CliError> {
 /// Usage and I/O failures.
 pub fn cmd_genlayout(args: &ExperimentArgs) -> Result<String, CliError> {
     let out_path = required(args, "out")?.to_string();
-    let tiles = args.usize("tiles", 4);
-    let tiles_x = args.usize("tiles-x", tiles);
-    let tiles_y = args.usize("tiles-y", tiles);
+    let tiles = args.try_usize("tiles", 4)?;
+    let tiles_x = args.try_usize("tiles-x", tiles)?;
+    let tiles_y = args.try_usize("tiles-y", tiles)?;
     if tiles_x == 0 || tiles_y == 0 {
         return Err(CliError::Usage("tile counts must be positive".into()));
     }
-    let seed = args.usize("seed", 7) as u64;
+    let seed = args.try_usize("seed", 7)? as u64;
     let spec = LayoutSpec::uniform(tiles_x, tiles_y, seed);
     let layout = spec.build();
     let mut bytes = Vec::new();
@@ -569,7 +580,7 @@ pub fn cmd_scan(args: &ExperimentArgs) -> Result<String, CliError> {
     let mut detector = HotspotDetector::from_network(model.pipeline()?, model.network()?);
     if args.get("threads").is_some() {
         detector.set_parallelism(
-            Parallelism::fixed(args.usize("threads", 1))
+            Parallelism::fixed(args.try_usize("threads", 1)?)
                 .map_err(|e| CliError::Usage(e.to_string()))?,
         );
     }
@@ -577,9 +588,9 @@ pub fn cmd_scan(args: &ExperimentArgs) -> Result<String, CliError> {
         Some(path) => Some(CascadePrefilter::from_bytes(&fs::read(path)?)?),
         None => None,
     };
-    let mut config = ScanConfig::new(args.usize("stride", 600) as i64)?
-        .with_window_nm(args.usize("window", 1200) as i64)?
-        .with_threshold(args.f64("threshold", 0.5) as f32)?
+    let mut config = ScanConfig::new(args.try_usize("stride", 600)? as i64)?
+        .with_window_nm(args.try_usize("window", 1200)? as i64)?
+        .with_threshold(args.try_f64("threshold", 0.5)? as f32)?
         .with_provenance(model.provenance(cascade.as_ref().map(CascadePrefilter::crc)));
     if let Some(cascade) = cascade {
         config = config.with_cascade(cascade);
@@ -641,12 +652,12 @@ pub fn cmd_serve(args: &ExperimentArgs) -> Result<String, CliError> {
         .map_err(|e| CliError::Server(e.to_string()))?;
     if args.get("threads").is_some() {
         model.set_parallelism(
-            Parallelism::fixed(args.usize("threads", 1))
+            Parallelism::fixed(args.try_usize("threads", 1)?)
                 .map_err(|e| CliError::Usage(e.to_string()))?,
         );
     }
     let mut config = ServerConfig::new(&socket);
-    config.queue_capacity = args.usize("queue", config.queue_capacity);
+    config.queue_capacity = args.try_usize("queue", config.queue_capacity)?;
     let provenance = model.provenance();
     let server = Server::bind(model, &config).map_err(|e| CliError::Server(e.to_string()))?;
     let engine = server.engine().clone();
@@ -700,7 +711,7 @@ pub fn cmd_client(args: &ExperimentArgs) -> Result<String, CliError> {
                         .iter()
                         .map(ClipSpec::from_clip)
                         .collect(),
-                    threshold: args.f64("threshold", 0.5) as f32,
+                    threshold: args.try_f64("threshold", 0.5)? as f32,
                 }),
                 "scan" => {
                     let layouts = load_clips(required(args, "layout")?)?;
@@ -710,9 +721,9 @@ pub fn cmd_client(args: &ExperimentArgs) -> Result<String, CliError> {
                     Request::Scan(ScanRequest {
                         id,
                         layout: ClipSpec::from_clip(layout),
-                        stride_nm: args.usize("stride", 600) as i64,
-                        window_nm: args.usize("window", 1200) as i64,
-                        threshold: args.f64("threshold", 0.5) as f32,
+                        stride_nm: args.try_usize("stride", 600)? as i64,
+                        window_nm: args.try_usize("window", 1200)? as i64,
+                        threshold: args.try_f64("threshold", 0.5)? as f32,
                         include_windows: args.string("windows", "true") == "true",
                     })
                 }
@@ -810,6 +821,21 @@ and every reply carries the provenance (model CRC) that produced it.
 hotspot client wraps the protocol for shell use and exits nonzero when the
 daemon answers with a structured error reply.
 ";
+
+/// Parses `--flag value` tokens and dispatches them to `command`: the
+/// `hotspot` binary's whole command line after the command name.
+///
+/// # Errors
+///
+/// Returns [`CliError::Usage`] naming the token or flag of a malformed
+/// command line, plus everything [`dispatch`] returns.
+pub fn run<I, S>(command: &str, tokens: I) -> Result<String, CliError>
+where
+    I: IntoIterator<Item = S>,
+    S: Into<String>,
+{
+    dispatch(command, &ExperimentArgs::parse(tokens)?)
+}
 
 /// Dispatches a command name plus `--flag value` arguments.
 ///

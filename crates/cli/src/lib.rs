@@ -67,6 +67,12 @@ impl From<hotspot_geometry::io::ClipIoError> for CliError {
     }
 }
 
+impl From<hotspot_bench::ArgsError> for CliError {
+    fn from(e: hotspot_bench::ArgsError) -> Self {
+        CliError::Usage(e.to_string())
+    }
+}
+
 impl From<hotspot_core::CoreError> for CliError {
     fn from(e: hotspot_core::CoreError) -> Self {
         CliError::Core(e)

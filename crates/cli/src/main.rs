@@ -1,6 +1,5 @@
 //! The `hotspot` command-line entry point; see [`hotspot_cli::commands`].
 
-use hotspot_bench::ExperimentArgs;
 use hotspot_cli::commands;
 
 fn main() {
@@ -12,8 +11,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let args = ExperimentArgs::from_iter(argv);
-    match commands::dispatch(&command, &args) {
+    match commands::run(&command, argv) {
         Ok(output) => print!("{output}"),
         Err(e) => {
             eprintln!("error: {e}");

@@ -117,6 +117,39 @@ fn usage_errors_are_reported() {
     ));
 }
 
+/// Runs a whole command line (whitespace-separated tokens after the
+/// command name) and returns its usage-error message.
+fn usage_message(command: &str, line: &str) -> String {
+    match commands::run(command, line.split_whitespace()) {
+        Err(hotspot_cli::CliError::Usage(msg)) => msg,
+        other => panic!("expected a usage error, got {other:?}"),
+    }
+}
+
+#[test]
+fn malformed_command_lines_are_usage_errors() {
+    // None of these reach a file: flags are read first.
+    let msg = usage_message("scan", "stray");
+    assert!(msg.contains("'stray'"), "{msg}");
+    let msg = usage_message("train", "--clips c.clips --k");
+    assert!(msg.contains("--k"), "{msg}");
+    let msg = usage_message(
+        "train",
+        "--clips c.clips --labels c.labels --model m.hsnn --k abc",
+    );
+    assert!(msg.contains("--k") && msg.contains("'abc'"), "{msg}");
+    let msg = usage_message("predict", "--clips c.clips --model m.hsnn --threshold x");
+    assert!(msg.contains("--threshold") && msg.contains("'x'"), "{msg}");
+    let msg = usage_message(
+        "train",
+        "--clips c.clips --labels c.labels --model m.hsnn --cascade p --cascade-grid abc",
+    );
+    assert!(
+        msg.contains("--cascade-grid") && msg.contains("'abc'"),
+        "{msg}"
+    );
+}
+
 #[test]
 fn label_count_mismatch_rejected() {
     let dir = tmp_dir("mismatch");

@@ -32,7 +32,7 @@ use hotspot_datagen::{ClipPool, Dataset};
 use hotspot_features::{KMeans, KMeansConfig};
 use hotspot_litho::simtime::SIM_TIME_PER_CLIP_S;
 use hotspot_litho::Labeler;
-use hotspot_nn::{Network, Tensor};
+use hotspot_nn::{Network, Parallelism, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -366,10 +366,7 @@ pub fn train_active(
             if unlabeled.is_empty() {
                 break;
             }
-            let probs: Vec<f32> = pool_tensors
-                .iter()
-                .map(|t| mgd::predict_hotspot_prob(session.network(), t))
-                .collect();
+            let probs = mgd::hotspot_probs(session.network(), &pool_tensors, Parallelism::serial());
             let picks = acquire_batch(
                 &probs,
                 &pool_flat,

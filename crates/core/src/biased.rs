@@ -1,9 +1,9 @@
-//! Biased learning (paper Algorithm 2 and Theorem 1).
+//! Biased learning (paper Algorithm 2 and Theorem 1): the schedule, its
+//! report and its checkpoint events. A
+//! [`crate::session::TrainSession`] runs the schedule
+//! ([`crate::session::TrainSession::run_schedule`]).
 
 use crate::mgd::{MgdConfig, TrainReport, TrainerState};
-use crate::session::TrainSession;
-use crate::CoreError;
-use hotspot_nn::{Network, Tensor};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the biased-learning loop.
@@ -67,27 +67,6 @@ impl BiasedLearningReport {
     }
 }
 
-/// Runs Algorithm 2: normal MGD at ε = 0, then `rounds - 1` fine-tuning
-/// passes with ε increased by `epsilon_step` each time, the hotspot ground
-/// truth fixed at `[0, 1]` throughout.
-///
-/// The network is trained in place; the returned report records every
-/// round.
-///
-/// # Errors
-///
-/// Propagates trainer errors and returns [`CoreError::InvalidConfig`] when
-/// the schedule would push ε to 0.5 or beyond (outside Theorem 1's validity
-/// range) or `rounds == 0`.
-pub fn train_biased(
-    net: &mut Network,
-    features: &[Tensor],
-    labels: &[bool],
-    config: &BiasedLearningConfig,
-) -> Result<BiasedLearningReport, CoreError> {
-    train_biased_resumable(net, features, labels, config, None, 0, &mut |_, _| Ok(()))
-}
-
 /// Where in the biased-learning loop a checkpointable moment occurred.
 #[derive(Debug)]
 pub enum CheckpointEvent<'a> {
@@ -111,8 +90,8 @@ pub enum CheckpointEvent<'a> {
 ///
 /// `completed` holds the rounds that already finished; `trainer`, when
 /// present, is the mid-round state of the round that was interrupted (its
-/// ε must be the next one in the schedule). The network passed to
-/// [`train_biased_resumable`] must already carry the checkpointed
+/// ε must be the next one in the schedule). The session it is restored
+/// into ([`crate::session::TrainSession::restore`]) must already carry the checkpointed
 /// parameters and RNG states when `trainer` is `None` (round boundary);
 /// with a mid-round state the trainer restores them itself.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,49 +102,14 @@ pub struct BiasedResume {
     pub trainer: Option<TrainerState>,
 }
 
-/// [`train_biased`] with crash-safe checkpointing and resume support.
-///
-/// `hook` receives a [`CheckpointEvent::Step`] every `checkpoint_every`
-/// optimiser steps (when nonzero) and a [`CheckpointEvent::RoundEnd`]
-/// after every round; an error from the hook aborts training. Resuming an
-/// interrupted run via `resume` reproduces **bit-identical** final weights
-/// to the uninterrupted run, because every RNG stream is part of the
-/// captured state (see [`crate::mgd::train_resumable`]).
-///
-/// This is a thin wrapper that moves the network through a
-/// [`TrainSession`] for the duration of the run; multi-round callers that
-/// grow the dataset between rounds (the active-learning loop) drive a
-/// session directly.
-///
-/// # Errors
-///
-/// Everything [`train_biased`] rejects, plus [`CoreError::Checkpoint`]
-/// when the resume state disagrees with the configured schedule, and any
-/// error returned by the hook.
-pub fn train_biased_resumable(
-    net: &mut Network,
-    features: &[Tensor],
-    labels: &[bool],
-    config: &BiasedLearningConfig,
-    resume: Option<BiasedResume>,
-    checkpoint_every: usize,
-    hook: &mut dyn FnMut(CheckpointEvent<'_>, &mut Network) -> Result<(), CoreError>,
-) -> Result<BiasedLearningReport, CoreError> {
-    let owned = std::mem::replace(net, Network::new());
-    let mut session = TrainSession::new(owned, features.to_vec(), labels.to_vec(), config.clone());
-    if let Some(r) = resume {
-        session.restore(r);
-    }
-    let result = session.run_schedule(checkpoint_every, hook);
-    *net = session.into_network();
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mgd::{self, predict_hotspot_prob};
+    use crate::mgd;
+    use crate::session::TrainSession;
+    use crate::CoreError;
     use hotspot_nn::layers::{Dense, Relu};
+    use hotspot_nn::{Network, Parallelism, Tensor};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -219,11 +163,22 @@ mod tests {
         }
     }
 
+    /// A fresh session training `net` on copies of the data.
+    fn session(
+        net: Network,
+        features: &[Tensor],
+        labels: &[bool],
+        cfg: &BiasedLearningConfig,
+    ) -> TrainSession {
+        TrainSession::new(net, features.to_vec(), labels.to_vec(), cfg.clone())
+    }
+
     #[test]
     fn runs_the_paper_schedule() {
         let (features, labels) = toy_data(240, 8);
-        let mut net = toy_net(9);
-        let report = train_biased(&mut net, &features, &labels, &quick_cfg()).unwrap();
+        let report = session(toy_net(9), &features, &labels, &quick_cfg())
+            .run_schedule(0, &mut |_, _| Ok(()))
+            .unwrap();
         assert_eq!(report.rounds.len(), 4);
         let eps: Vec<f32> = report.rounds.iter().map(|r| r.epsilon).collect();
         assert_eq!(
@@ -243,13 +198,14 @@ mod tests {
         // The core claim (Theorem 1 direction): after biased fine-tuning,
         // hotspot recall is at least that of the unbiased model.
         let (features, labels) = toy_data(400, 10);
-        let recall = |net: &mut Network| {
+        let recall = |net: &Network| {
+            let probs = mgd::hotspot_probs(net, &features, Parallelism::serial());
             let mut hit = 0usize;
             let mut total = 0usize;
-            for (f, &l) in features.iter().zip(labels.iter()) {
+            for (&p, &l) in probs.iter().zip(labels.iter()) {
                 if l {
                     total += 1;
-                    if predict_hotspot_prob(net, f) > 0.5 {
+                    if p > 0.5 {
                         hit += 1;
                     }
                 }
@@ -259,10 +215,10 @@ mod tests {
         let cfg = quick_cfg();
         let mut unbiased = toy_net(12);
         mgd::train(&mut unbiased, &features, &labels, 0.0, &cfg.initial).unwrap();
-        let r0 = recall(&mut unbiased);
-        let mut biased = toy_net(12);
-        train_biased(&mut biased, &features, &labels, &cfg).unwrap();
-        let r1 = recall(&mut biased);
+        let r0 = recall(&unbiased);
+        let mut biased = session(toy_net(12), &features, &labels, &cfg);
+        biased.run_schedule(0, &mut |_, _| Ok(())).unwrap();
+        let r1 = recall(biased.network());
         assert!(
             r1 >= r0 - 0.02,
             "biased recall {r1} should not fall below unbiased {r0}"
@@ -289,21 +245,14 @@ mod tests {
         cfg.fine_tune.max_steps = 120;
         cfg.fine_tune.patience = 50;
 
-        let mut reference = dropnet();
-        let ref_report = train_biased(&mut reference, &features, &labels, &cfg).unwrap();
+        let mut reference = session(dropnet(), &features, &labels, &cfg);
+        let ref_report = reference.run_schedule(0, &mut |_, _| Ok(())).unwrap();
 
         // Interrupted run: persist real checkpoints every 50 steps, crash
         // right after the first mid-round snapshot of the ε = 0.1 round.
         let mut latest: Option<Checkpoint> = None;
-        let mut first = dropnet();
-        let crash = train_biased_resumable(
-            &mut first,
-            &features,
-            &labels,
-            &cfg,
-            None,
-            50,
-            &mut |event, net| {
+        let crash =
+            session(dropnet(), &features, &labels, &cfg).run_schedule(50, &mut |event, net| {
                 match event {
                     CheckpointEvent::Step { completed, state } => {
                         latest = Some(Checkpoint::new(
@@ -330,8 +279,7 @@ mod tests {
                     }
                 }
                 Ok(())
-            },
-        );
+            });
         assert!(crash.is_err());
 
         // Round-trip the checkpoint through its wire format, then resume
@@ -339,19 +287,11 @@ mod tests {
         let ckpt = Checkpoint::from_bytes(&latest.unwrap().to_bytes()).unwrap();
         ckpt.validate_run(cfg.initial.seed, cfg.initial.threads, "toy")
             .unwrap();
-        let mut resumed_net = dropnet();
-        let resume = ckpt.apply(&mut resumed_net).unwrap();
+        let mut resumed = session(dropnet(), &features, &labels, &cfg);
+        let resume = ckpt.apply(resumed.network_mut()).unwrap();
         assert_eq!(resume.completed.len(), 1);
-        let report = train_biased_resumable(
-            &mut resumed_net,
-            &features,
-            &labels,
-            &cfg,
-            Some(resume),
-            0,
-            &mut |_, _| Ok(()),
-        )
-        .unwrap();
+        resumed.restore(resume);
+        let report = resumed.run_schedule(0, &mut |_, _| Ok(())).unwrap();
 
         assert_eq!(report.rounds.len(), ref_report.rounds.len());
         for (a, b) in report.rounds.iter().zip(&ref_report.rounds) {
@@ -360,37 +300,32 @@ mod tests {
             assert_eq!(a.report.best_val_accuracy, b.report.best_val_accuracy);
         }
         assert_eq!(
-            ParameterBlob::from_network(&mut resumed_net),
-            ParameterBlob::from_network(&mut reference)
+            ParameterBlob::from_network(resumed.network_mut()),
+            ParameterBlob::from_network(reference.network_mut())
         );
 
         // A checkpoint disagreeing with the schedule is rejected.
         let mut skewed = ckpt.clone();
         skewed.completed[0].epsilon = 0.05;
         let bad_resume = skewed.apply(&mut dropnet()).unwrap();
-        assert!(train_biased_resumable(
-            &mut dropnet(),
-            &features,
-            &labels,
-            &cfg,
-            Some(bad_resume),
-            0,
-            &mut |_, _| Ok(())
-        )
-        .is_err());
+        let mut bad = session(dropnet(), &features, &labels, &cfg);
+        bad.restore(bad_resume);
+        assert!(bad.run_schedule(0, &mut |_, _| Ok(())).is_err());
     }
 
     #[test]
     fn rejects_invalid_schedules() {
         let (features, labels) = toy_data(40, 1);
-        let mut net = toy_net(2);
+        let run = |cfg: &BiasedLearningConfig| {
+            session(toy_net(2), &features, &labels, cfg).run_schedule(0, &mut |_, _| Ok(()))
+        };
         let mut cfg = quick_cfg();
         cfg.rounds = 0;
-        assert!(train_biased(&mut net, &features, &labels, &cfg).is_err());
+        assert!(run(&cfg).is_err());
         let mut cfg = quick_cfg();
         cfg.epsilon_step = 0.2;
         cfg.rounds = 4; // ε reaches 0.6 ≥ 0.5
-        assert!(train_biased(&mut net, &features, &labels, &cfg).is_err());
+        assert!(run(&cfg).is_err());
     }
 
     #[test]
@@ -400,15 +335,15 @@ mod tests {
             rounds: 1,
             ..quick_cfg()
         };
-        let mut a = toy_net(4);
-        let ra = train_biased(&mut a, &features, &labels, &cfg).unwrap();
+        let mut a = session(toy_net(4), &features, &labels, &cfg);
+        let ra = a.run_schedule(0, &mut |_, _| Ok(())).unwrap();
         assert_eq!(ra.rounds.len(), 1);
         assert_eq!(ra.rounds[0].epsilon, 0.0);
         let mut b = toy_net(4);
         mgd::train(&mut b, &features, &labels, 0.0, &cfg.initial).unwrap();
         let x = &features[0];
         assert_eq!(
-            hotspot_nn::engine::Executor::new().infer(&a, x),
+            hotspot_nn::engine::Executor::new().infer(a.network(), x),
             hotspot_nn::engine::Executor::new().infer(&b, x)
         );
     }

@@ -6,8 +6,8 @@
 //! expected calibration error (ECE) before and after biased fine-tuning
 //! make the mechanism measurable rather than anecdotal.
 
-use crate::mgd::predict_hotspot_prob;
-use hotspot_nn::{Network, Tensor};
+use crate::mgd::hotspot_probs;
+use hotspot_nn::{Network, Parallelism, Tensor};
 use serde::{Deserialize, Serialize};
 
 /// One bin of a reliability diagram.
@@ -38,8 +38,8 @@ pub fn reliability_diagram(
     assert_eq!(features.len(), labels.len(), "feature/label mismatch");
     assert!(bins > 0, "bins must be nonzero");
     let mut sums = vec![(0.0f64, 0usize, 0usize); bins]; // (Σp, hotspots, count)
-    for (f, &l) in features.iter().zip(labels.iter()) {
-        let p = predict_hotspot_prob(net, f);
+    let probs = hotspot_probs(net, features, Parallelism::serial());
+    for (p, &l) in probs.into_iter().zip(labels.iter()) {
         let b = ((p * bins as f32) as usize).min(bins - 1);
         sums[b].0 += p as f64;
         if l {

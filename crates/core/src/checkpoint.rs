@@ -166,7 +166,7 @@ impl Checkpoint {
 
     /// Restores the checkpointed parameters and RNG streams into `net` and
     /// returns the loop-resume description for
-    /// [`crate::biased::train_biased_resumable`].
+    /// [`crate::session::TrainSession::restore`].
     ///
     /// # Errors
     ///

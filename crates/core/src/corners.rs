@@ -34,7 +34,7 @@ use hotspot_nn::data::BatchSampler;
 use hotspot_nn::engine::Executor;
 use hotspot_nn::layers::{Dense, Flatten, Relu};
 use hotspot_nn::loss::{sigmoid, sigmoid_bce_into};
-use hotspot_nn::Network;
+use hotspot_nn::{Network, Parallelism};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -279,12 +279,15 @@ impl CornerHead {
     /// Propagates feature-extraction failures.
     pub fn predict(&self, clip: &Clip) -> Result<CornerPrediction, CoreError> {
         let input = self.pipeline.extract(clip)?;
-        let mut ex = Executor::new();
-        let x = ex.infer(&self.net, &input);
-        Ok(CornerPrediction {
+        Ok(self.prediction(Executor::new().infer(&self.net, &input)))
+    }
+
+    /// The prediction read off one network output.
+    fn prediction(&self, x: &[f32]) -> CornerPrediction {
+        CornerPrediction {
             corner_probs: x[..self.n_corners].iter().map(|&v| sigmoid(v)).collect(),
             severity: x[self.n_corners] * self.severity_scale,
-        })
+        }
     }
 
     /// Evaluates the head on a corner-labelled dataset.
@@ -308,14 +311,21 @@ impl CornerHead {
                 "cannot evaluate on an empty dataset".into(),
             ));
         }
-        let mut per_corner_hits = vec![0usize; self.n_corners];
-        let mut hotspot_hits = 0usize;
-        let mut severity_err = 0.0f64;
+        let mut features = Vec::with_capacity(data.len());
+        let mut truths = Vec::with_capacity(data.len());
         for sample in data.iter() {
             let corners = sample.corners.as_ref().ok_or_else(|| {
                 CoreError::Dataset("sample is missing per-corner labels despite the schema".into())
             })?;
-            let pred = self.predict(&sample.clip)?;
+            features.push(self.pipeline.extract(&sample.clip)?);
+            truths.push((corners, sample.hotspot));
+        }
+        let outputs = self.net.forward_batch(&features, Parallelism::serial());
+        let mut per_corner_hits = vec![0usize; self.n_corners];
+        let mut hotspot_hits = 0usize;
+        let mut severity_err = 0.0f64;
+        for ((corners, hotspot), y) in truths.into_iter().zip(&outputs) {
+            let pred = self.prediction(y.as_slice());
             for (c, (&p, &truth)) in pred
                 .corner_probs
                 .iter()
@@ -326,7 +336,7 @@ impl CornerHead {
                     per_corner_hits[c] += 1;
                 }
             }
-            if pred.is_hotspot() == sample.hotspot {
+            if pred.is_hotspot() == hotspot {
                 hotspot_hits += 1;
             }
             severity_err += (pred.severity as f64 - corners.severity as f64).abs();

@@ -10,7 +10,8 @@ use crate::model::CnnConfig;
 use crate::CoreError;
 use hotspot_datagen::Dataset;
 use hotspot_geometry::Clip;
-use hotspot_nn::{optim, Network, Parallelism};
+use hotspot_nn::engine::{BatchScorer, Executor};
+use hotspot_nn::{loss, optim, Network, Parallelism};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -92,7 +93,7 @@ impl HotspotDetector {
     /// [`HotspotDetector::fit`] with crash-safe checkpointing: `hook`
     /// fires at every checkpointable moment (every `checkpoint_every`
     /// optimiser steps and at every round boundary — see
-    /// [`crate::biased::train_biased_resumable`]), and `resume` restarts
+    /// [`crate::session::TrainSession::run_schedule`]), and `resume` restarts
     /// an interrupted run from a [`Checkpoint`], reproducing bit-identical
     /// final weights to the uninterrupted run.
     ///
@@ -218,7 +219,9 @@ impl HotspotDetector {
         self.parallelism = parallelism;
     }
 
-    /// Predicted hotspot probability of one clip.
+    /// Predicted hotspot probability of one clip: one planned pass
+    /// through a fresh [`Executor`]; batches go through
+    /// [`HotspotDetector::predict_batch`].
     ///
     /// Inference is read-only (planned passes through `&Network`), so a
     /// shared detector can score clips from many threads concurrently.
@@ -228,7 +231,7 @@ impl HotspotDetector {
     /// Propagates feature-extraction failures.
     pub fn predict_proba(&self, clip: &Clip) -> Result<f32, CoreError> {
         let feature = self.pipeline.extract(clip)?;
-        Ok(mgd::predict_hotspot_prob(&self.net, &feature))
+        Ok(loss::softmax(Executor::new().infer(&self.net, &feature))[1])
     }
 
     /// Hard hotspot decision at the standard 0.5 threshold.
@@ -253,71 +256,40 @@ impl HotspotDetector {
     ///
     /// Propagates the first feature-extraction failure (in clip order).
     pub fn predict_batch(&self, clips: &[Clip]) -> Result<Vec<f32>, CoreError> {
-        self.predict_batch_workers(clips, self.parallelism.workers())
-    }
-
-    fn predict_batch_workers(&self, clips: &[Clip], workers: usize) -> Result<Vec<f32>, CoreError> {
         // Nothing to score: answer immediately instead of spinning up
         // workers or planning a degenerate workspace.
         if clips.is_empty() {
             return Ok(Vec::new());
         }
-        let workers = workers.min(clips.len()).max(1);
         let pipeline = &self.pipeline;
         let net = &self.net;
         let k = pipeline.coefficients();
         let n = pipeline.grid_dim();
-        let in_shape = [k, n, n];
-        let feat_len = k * n * n;
-        let probe = net.plan(&in_shape);
-        let out_len = probe.out_len();
-        let block = probe.suggested_batch();
-        // Each worker extracts a block of clip features into one flat
-        // buffer and scores the whole block through the batched planner —
-        // one GEMM per layer per block — so after the first block the CNN
-        // forward pass allocates nothing (the ragged final block replans
-        // once). Batched scoring is bit-identical per clip.
-        let score_chunk = |slice: &[Clip]| -> Result<Vec<f32>, CoreError> {
-            let mut ex = hotspot_nn::engine::Executor::new();
-            let mut soft = vec![0.0f32; out_len];
+        // Each worker extracts clip features straight into its scorer's
+        // one-block buffer and scores a whole block per planned pass — one
+        // GEMM per layer per block — so after the first block the CNN
+        // forward pass allocates nothing. Batched scoring is bit-identical
+        // per clip.
+        let score_slice = |slice: &[Clip]| -> Result<Vec<f32>, CoreError> {
+            let mut scorer = BatchScorer::new();
+            let mut soft = Vec::new();
             let mut probs = Vec::with_capacity(slice.len());
-            let mut flat = vec![0.0f32; block.min(slice.len()).max(1) * feat_len];
-            for chunk in slice.chunks(block) {
-                for (clip, dst) in chunk.iter().zip(flat.chunks_exact_mut(feat_len)) {
-                    pipeline.extract_into(clip, dst)?;
-                }
-                let logits =
-                    ex.infer_batch(net, &flat[..chunk.len() * feat_len], &in_shape, chunk.len());
-                for y in logits.chunks_exact(out_len) {
-                    hotspot_nn::loss::softmax_into(y, &mut soft);
+            scorer.infer_each(
+                net,
+                &[k, n, n],
+                slice.len(),
+                |i, dst| pipeline.extract_into(&slice[i], dst),
+                |_, y| {
+                    soft.resize(y.len(), 0.0);
+                    loss::softmax_into(y, &mut soft);
                     probs.push(soft[1]);
-                }
-            }
+                },
+            )?;
             Ok(probs)
         };
-        if workers == 1 {
-            return score_chunk(clips);
-        }
-        let chunk = clips.len().div_ceil(workers);
-        let mut slots: Vec<Result<Vec<f32>, CoreError>> =
-            (0..workers).map(|_| Ok(Vec::new())).collect();
-        let score_chunk = &score_chunk;
-        if let Err(payload) = crossbeam::thread::scope(|scope| {
-            for (worker, slot) in slots.iter_mut().enumerate() {
-                let start = (worker * chunk).min(clips.len());
-                let slice = &clips[start..(start + chunk).min(clips.len())];
-                scope.spawn(move |_| {
-                    *slot = score_chunk(slice);
-                });
-            }
-        }) {
-            // A worker panic is a bug, not a recoverable condition:
-            // propagate the original payload.
-            std::panic::resume_unwind(payload);
-        }
         let mut probs = Vec::with_capacity(clips.len());
-        for slot in slots {
-            probs.extend(slot?);
+        for slice in self.parallelism.map_chunks(clips, score_slice) {
+            probs.extend(slice?);
         }
         Ok(probs)
     }
@@ -383,13 +355,9 @@ impl HotspotDetector {
     /// Propagates feature-extraction failures (a test clip whose geometry
     /// does not match the training pipeline configuration).
     pub fn evaluate(&self, test: &Dataset) -> Result<EvalResult, CoreError> {
-        self.evaluate_workers(test, self.parallelism.workers())
-    }
-
-    fn evaluate_workers(&self, test: &Dataset, workers: usize) -> Result<EvalResult, CoreError> {
         let start = Instant::now();
         let clips: Vec<Clip> = test.iter().map(|s| s.clip.clone()).collect();
-        let probs = self.predict_batch_workers(&clips, workers)?;
+        let probs = self.predict_batch(&clips)?;
         let predictions: Vec<bool> = probs.iter().map(|&p| p > 0.5).collect();
         let labels: Vec<bool> = test.iter().map(|s| s.hotspot).collect();
         let eval_time = start.elapsed().as_secs_f64();

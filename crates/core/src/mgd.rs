@@ -106,67 +106,41 @@ pub fn target_for(hotspot: bool, epsilon: f32) -> [f32; 2] {
     }
 }
 
-/// Predicted probability that `feature` is a hotspot (`y(1)` of Eq. (6)).
+/// Predicted hotspot probability (`y(1)` of Eq. (6)) of every feature, in
+/// order: one [`Network::forward_batch`] under `parallelism`, then a
+/// softmax per output. This is the one feature-set scorer behind
+/// validation, ROC, shift, calibration and active-learning pools.
 ///
 /// Inference-mode only, through `&Network` — concurrent callers may share
-/// one network. Plans a fresh [`Executor`] per call; scoring loops should
-/// hold one instead (see [`predict_all`]).
-pub fn predict_hotspot_prob(net: &Network, feature: &Tensor) -> f32 {
-    loss::softmax(Executor::new().infer(net, feature))[1]
-}
-
-/// [`predict_hotspot_prob`] through a caller-held [`Executor`]: the shape
-/// plan and arena are reused across calls, so a scoring loop allocates
-/// nothing after the first feature.
-fn hotspot_prob_planned(
-    ex: &mut Executor,
-    net: &Network,
-    feature: &Tensor,
-    soft: &mut Vec<f32>,
-) -> f32 {
-    let logits = ex.infer(net, feature);
-    soft.resize(logits.len(), 0.0);
-    loss::softmax_into(logits, soft);
-    soft[1]
-}
-
-/// Hard 0.5-threshold predictions for a feature set, scored through one
-/// reused execution plan (bit-identical to per-feature
-/// [`predict_hotspot_prob`] calls).
-pub fn predict_all(net: &Network, features: &[Tensor]) -> Vec<bool> {
-    let mut ex = Executor::new();
+/// one network. Batched execution is exact per sample, so the result is
+/// bit-identical to per-feature [`Executor::infer`] plus
+/// [`loss::softmax_into`] for any worker policy.
+pub fn hotspot_probs(net: &Network, features: &[Tensor], parallelism: Parallelism) -> Vec<f32> {
     let mut soft = Vec::new();
-    features
-        .iter()
-        .map(|f| hotspot_prob_planned(&mut ex, net, f, &mut soft) > 0.5)
-        .collect()
-}
-
-/// [`predict_all`] with the forward passes fanned out over the workers of
-/// a [`Parallelism`] policy via [`Network::forward_batch`]. Inference is
-/// pure, so the result is bit-identical to the serial path for any worker
-/// count.
-pub fn predict_all_with(net: &Network, features: &[Tensor], parallelism: Parallelism) -> Vec<bool> {
     net.forward_batch(features, parallelism)
         .iter()
-        .map(|logits| loss::softmax(logits.as_slice())[1] > 0.5)
+        .map(|logits| {
+            soft.resize(logits.len(), 0.0);
+            loss::softmax_into(logits.as_slice(), &mut soft);
+            soft[1]
+        })
         .collect()
 }
 
 /// Balanced accuracy — the mean of hotspot recall and non-hotspot
-/// specificity — of `net` on a labelled feature set. Used for validation
-/// model selection: unlike overall accuracy it cannot be maxed out by the
-/// constant predictor on a skewed set.
+/// specificity — of `net` on a labelled feature set, scored serially
+/// through [`hotspot_probs`]. Used for validation model selection: unlike
+/// overall accuracy it cannot be maxed out by the constant predictor on a
+/// skewed set.
 pub fn balanced_accuracy(net: &Network, features: &[Tensor], labels: &[bool]) -> f64 {
     assert_eq!(features.len(), labels.len());
-    let mut ex = Executor::new();
-    let mut soft = Vec::new();
+    let probs = hotspot_probs(net, features, Parallelism::serial());
     let mut hit = [0usize; 2];
     let mut total = [0usize; 2];
-    for (f, &l) in features.iter().zip(labels.iter()) {
+    for (p, &l) in probs.into_iter().zip(labels.iter()) {
         let class = l as usize;
         total[class] += 1;
-        if (hotspot_prob_planned(&mut ex, net, f, &mut soft) > 0.5) == l {
+        if (p > 0.5) == l {
             hit[class] += 1;
         }
     }
@@ -180,18 +154,17 @@ pub fn balanced_accuracy(net: &Network, features: &[Tensor], labels: &[bool]) ->
     (recall(0) + recall(1)) / 2.0
 }
 
-/// Overall classification accuracy of `net` on a labelled feature set.
+/// Overall classification accuracy of `net` on a labelled feature set,
+/// scored serially through [`hotspot_probs`].
 pub fn overall_accuracy(net: &Network, features: &[Tensor], labels: &[bool]) -> f64 {
     assert_eq!(features.len(), labels.len());
     if features.is_empty() {
         return 1.0;
     }
-    let mut ex = Executor::new();
-    let mut soft = Vec::new();
-    let correct = features
-        .iter()
+    let correct = hotspot_probs(net, features, Parallelism::serial())
+        .into_iter()
         .zip(labels.iter())
-        .filter(|(f, &l)| (hotspot_prob_planned(&mut ex, net, f, &mut soft) > 0.5) == l)
+        .filter(|&(p, &l)| (p > 0.5) == l)
         .count();
     correct as f64 / features.len() as f64
 }
@@ -772,9 +745,9 @@ mod tests {
         train(&mut plain, &features, &labels, 0.0, &cfg).unwrap();
         train(&mut biased, &features, &labels, 0.3, &cfg).unwrap();
         let mean_prob = |net: &mut Network| -> f64 {
-            features
-                .iter()
-                .map(|f| predict_hotspot_prob(net, f) as f64)
+            hotspot_probs(net, &features, Parallelism::serial())
+                .into_iter()
+                .map(f64::from)
                 .sum::<f64>()
                 / features.len() as f64
         };
@@ -802,21 +775,63 @@ mod tests {
     }
 
     #[test]
-    fn predict_all_with_matches_serial() {
+    fn hotspot_probs_match_for_every_policy() {
         let (features, _labels) = toy_data(61, 9);
         let net = toy_net(10);
-        let serial = predict_all(&net, &features);
+        let serial = hotspot_probs(&net, &features, Parallelism::serial());
         for workers in [1, 2, 5, 16] {
             assert_eq!(
-                predict_all_with(&net, &features, Parallelism::fixed(workers).unwrap()),
+                hotspot_probs(&net, &features, Parallelism::fixed(workers).unwrap()),
                 serial,
                 "workers = {workers}"
             );
         }
-        assert_eq!(
-            predict_all_with(&net, &features, Parallelism::auto()),
-            serial
-        );
+        assert_eq!(hotspot_probs(&net, &features, Parallelism::auto()), serial);
+    }
+
+    #[test]
+    fn hotspot_probs_equal_per_sample_inference_on_table1() {
+        // The Table-1 net at k = 32 against per-sample `Executor::infer`
+        // plus softmax, bit for bit: empty, one, one block (the cap), a
+        // block plus a tail, and a validation-split-sized set, under
+        // every worker policy. CI also runs this module on the AVX2 tier.
+        use crate::model::CnnConfig;
+        use hotspot_nn::engine::BatchScorer;
+        let cfg = CnnConfig::default();
+        let net = cfg.build();
+        let shape = cfg.input_shape();
+        let cap = BatchScorer::new().block_cap(&net, &shape);
+        let len: usize = shape.iter().product();
+        let features: Vec<Tensor> = (0..(cap + 1).max(19))
+            .map(|s| {
+                let v = (0..len).map(|i| ((i * 3 + s * 61) as f32 * 0.017).sin());
+                Tensor::from_vec(shape.clone(), v.collect())
+            })
+            .collect();
+        let mut ex = Executor::new();
+        let mut soft = [0.0f32; 2];
+        let reference: Vec<u32> = features
+            .iter()
+            .map(|f| {
+                loss::softmax_into(ex.infer(&net, f), &mut soft);
+                soft[1].to_bits()
+            })
+            .collect();
+        let policies = [
+            Parallelism::serial(),
+            Parallelism::fixed(2).unwrap(),
+            Parallelism::fixed(3).unwrap(),
+            Parallelism::auto(),
+        ];
+        for count in [0, 1, cap, cap + 1, 19] {
+            for policy in policies {
+                let got: Vec<u32> = hotspot_probs(&net, &features[..count], policy)
+                    .iter()
+                    .map(|p| p.to_bits())
+                    .collect();
+                assert_eq!(got, reference[..count], "{count} features, {policy}");
+            }
+        }
     }
 
     #[test]

@@ -227,4 +227,107 @@ mod tests {
             KernelBackend::Scalar => {}
         }
     }
+
+    /// A seeded two-round `TrainSession::run_schedule` of the Table-1 net
+    /// at k = 4 on a separable synthetic set, on the resolved kernel
+    /// backend: the CRC-32 of the returned weights and the bits of every
+    /// validation check, in round order. Each round returns the snapshot
+    /// its validation checks pick, so this pins validation scoring as well
+    /// as the training steps.
+    fn two_round_fit() -> (u32, Vec<u64>) {
+        use crate::biased::BiasedLearningConfig;
+        use crate::mgd::MgdConfig;
+        use crate::session::TrainSession;
+        use hotspot_nn::gemm::kernel_backend;
+        use hotspot_nn::serialize::{crc32, ParameterBlob};
+        let cfg = CnnConfig {
+            input_channels: 4,
+            ..CnnConfig::default()
+        };
+        let len: usize = cfg.input_shape().iter().product();
+        let labels: Vec<bool> = (0..48).map(|s| s % 3 == 0).collect();
+        let features: Vec<Tensor> = labels
+            .iter()
+            .enumerate()
+            .map(|(s, &hotspot)| {
+                let shift = if hotspot { 0.05 } else { -0.05 };
+                let v = (0..len).map(|i| {
+                    let base = ((i * 5 + s * 97) as f32 * 0.021).sin() * 0.5;
+                    if i < 144 {
+                        base + shift
+                    } else {
+                        base
+                    }
+                });
+                Tensor::from_vec(cfg.input_shape(), v.collect())
+            })
+            .collect();
+        let initial = MgdConfig {
+            lr: 0.1,
+            alpha: 0.5,
+            decay_step: 16,
+            batch_size: 8,
+            max_steps: 24,
+            val_interval: 8,
+            patience: 8,
+            val_fraction: 0.25,
+            seed: 3,
+            balanced_sampling: true,
+            threads: 1,
+        };
+        let schedule = BiasedLearningConfig {
+            epsilon_step: 0.1,
+            rounds: 2,
+            fine_tune: MgdConfig {
+                max_steps: 8,
+                lr: 0.05,
+                ..initial.clone()
+            },
+            initial,
+        };
+        let mut session = TrainSession::new(cfg.build(), features, labels, schedule);
+        let report = session.run_schedule(0, &mut |_, _| Ok(())).unwrap();
+        let checks: Vec<f64> = report
+            .rounds
+            .iter()
+            .flat_map(|r| r.report.history.iter().map(|p| p.val_accuracy))
+            .collect();
+        let crc = crc32(&ParameterBlob::from_network(session.network_mut()).to_bytes());
+        let bits: Vec<u64> = checks.iter().map(|a| a.to_bits()).collect();
+        println!(
+            "table-1 two-round fit on {}: crc32 {crc:08x}, checks {checks:?}, bits {bits:x?}",
+            kernel_backend().name()
+        );
+        (crc, bits)
+    }
+
+    #[test]
+    fn whole_fit_bits_are_pinned() {
+        // Recorded with this body on the tree before batched validation
+        // scoring; the checks' bits agree on every backend.
+        use hotspot_nn::gemm::{kernel_backend, KernelBackend};
+        let (crc, bits) = two_round_fit();
+        let checks: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+        assert!(
+            checks[1..].iter().any(|&a| a > checks[0]),
+            "no later check beat the untrained network: {checks:?}"
+        );
+        assert_eq!(
+            bits,
+            [
+                0x3fe0_0000_0000_0000,
+                0x3fea_83a8_3a83_a83a,
+                0x3fed_b6db_6db6_db6e,
+                0x3fea_83a8_3a83_a83a,
+                0x3fed_b6db_6db6_db6e,
+                0x3fe9_9999_9999_999a,
+            ]
+        );
+        let want = match kernel_backend() {
+            KernelBackend::Scalar => 0x43ec_f991,
+            KernelBackend::Avx2 => 0xb16f_bca1,
+            KernelBackend::Avx512 => 0x2963_8493,
+        };
+        assert_eq!(crc, want);
+    }
 }

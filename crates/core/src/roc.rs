@@ -5,8 +5,8 @@
 //! re-scoring the test set ([`sweep`], for plotting), and the exact,
 //! threshold-free area under it ([`auc`]).
 
-use crate::mgd::predict_hotspot_prob;
-use hotspot_nn::{Network, Tensor};
+use crate::mgd::hotspot_probs;
+use hotspot_nn::{Network, Parallelism, Tensor};
 use serde::{Deserialize, Serialize};
 
 /// One operating point of the recall / false-alarm trade-off.
@@ -30,10 +30,7 @@ pub struct RocPoint {
 pub fn sweep(net: &Network, features: &[Tensor], labels: &[bool], steps: usize) -> Vec<RocPoint> {
     assert_eq!(features.len(), labels.len(), "feature/label mismatch");
     assert!(steps > 0, "steps must be nonzero");
-    let probs: Vec<f32> = features
-        .iter()
-        .map(|f| predict_hotspot_prob(net, f))
-        .collect();
+    let probs = hotspot_probs(net, features, Parallelism::serial());
     let hotspot_total = labels.iter().filter(|&&l| l).count().max(1);
     let mut curve = Vec::with_capacity(steps + 1);
     for s in (0..=steps).rev() {
@@ -76,9 +73,8 @@ pub fn auc(net: &Network, features: &[Tensor], labels: &[bool]) -> f64 {
     if hotspots == 0 || non_hotspots == 0 {
         return 0.5;
     }
-    let mut scored: Vec<(f32, bool)> = features
-        .iter()
-        .map(|f| predict_hotspot_prob(net, f))
+    let mut scored: Vec<(f32, bool)> = hotspot_probs(net, features, Parallelism::serial())
+        .into_iter()
         .zip(labels.iter().copied())
         .collect();
     scored.sort_by(|a, b| a.0.total_cmp(&b.0));

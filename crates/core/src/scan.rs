@@ -30,7 +30,7 @@
 //! The scan itself is **tiled**: the window-row grid is split into
 //! horizontal bands, one worker thread per band (see
 //! [`crate::Parallelism`]), and each worker owns its raster strip, its
-//! block-DCT cache shard and its scoring workspace. Band results are
+//! block-DCT cache shard and its batch scorer. Band results are
 //! deterministic and thread-count-independent — scores are bit-identical
 //! per window, regions merge globally after all bands join, and cache
 //! statistics are reconstructed to match a single shared cache exactly.
@@ -60,7 +60,8 @@ use crate::CoreError;
 use hotspot_dct::BlockDctPlan;
 use hotspot_features::density_feature;
 use hotspot_geometry::{raster, Clip, Grid, Point, Rect};
-use hotspot_nn::engine::{ShapePlan, Workspace};
+use hotspot_nn::engine::BatchScorer;
+use hotspot_nn::parallelism::map_parts;
 use hotspot_nn::{loss, Network};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
@@ -532,8 +533,7 @@ impl Default for BandCell {
     }
 }
 
-/// Everything a band worker needs, bundled so the crossbeam closure moves
-/// one value.
+/// Everything a band worker needs.
 struct BandArgs<'a> {
     normalized: &'a Clip,
     resolution_nm: u32,
@@ -544,12 +544,9 @@ struct BandArgs<'a> {
     ys: &'a [i64],
     plan: &'a BlockDctPlan,
     grid_dim: usize,
-    feat_len: usize,
     net: &'a Network,
     in_shape: [usize; 3],
-    block: usize,
-    block_plan: &'a ShapePlan,
-    out_len: usize,
+    score_block: Option<usize>,
     cascade: Option<&'a CascadePrefilter>,
 }
 
@@ -558,9 +555,9 @@ struct BandArgs<'a> {
 /// The band rasterises only the strip of layout its windows cover
 /// (adjacent strips overlap by up to one window extent), assembles window
 /// features through a band-local block-DCT cache keyed on the global
-/// lattice, and scores windows in streaming blocks through its own warm
-/// [`Workspace`] — so peak memory is bounded by `threads × (strip raster +
-/// one score block of features)` rather than the whole scan.
+/// lattice, and scores windows in streaming blocks through its own
+/// [`BatchScorer`] — so peak memory is bounded by `threads × (strip raster
+/// + one score block of features)` rather than the whole scan.
 ///
 /// With a cascade configured, a prefilter pass runs first: every window's
 /// raster crop is reduced to a density vector and margin-scored, and only
@@ -635,21 +632,27 @@ fn scan_band(args: &BandArgs<'_>, cells: &mut [BandCell]) -> BandOutcome {
     };
 
     // Stage 2 — CNN pass over the survivors, compacted into full scoring
-    // blocks (only the final block is ragged, exactly as before).
+    // blocks (only the final block is ragged). A cascade can leave a band
+    // no survivors.
     let mut cache: HashMap<(usize, usize), Vec<f32>> = HashMap::new();
     let mut stats = CacheStats::default();
-    let mut ws = Workspace::new();
-    let mut soft = vec![0.0f32; args.out_len];
-    let mut tail_plan: Option<ShapePlan> = None;
-    let mut feats = vec![0.0f32; args.block * args.feat_len];
-    let mut done = 0usize;
-    while done < survivors.len() {
-        let b = args.block.min(survivors.len() - done);
-        for (w, &idx) in survivors[done..done + b].iter().enumerate() {
+    if survivors.is_empty() {
+        return Ok((stats, cache));
+    }
+    let mut scorer = args
+        .score_block
+        .map_or_else(BatchScorer::new, BatchScorer::with_block_cap);
+    let mut soft = Vec::new();
+    scorer.infer_each(
+        args.net,
+        &args.in_shape,
+        survivors.len(),
+        |i, dst| {
+            let idx = survivors[i];
             let y = args.ys[idx / cols];
             let x = args.xs[idx % cols];
             window_feature_into(
-                &mut feats[w * args.feat_len..(w + 1) * args.feat_len],
+                dst,
                 &strip_raster,
                 y0_px,
                 args.plan,
@@ -658,25 +661,14 @@ fn scan_band(args: &BandArgs<'_>, cells: &mut [BandCell]) -> BandOutcome {
                 (x / res) as usize,
                 (y / res) as usize,
                 args.grid_dim,
-            )?;
-        }
-        let plan = if b == args.block {
-            args.block_plan
-        } else {
-            tail_plan.get_or_insert_with(|| args.net.plan_batch(&args.in_shape, b))
-        };
-        let logits = args
-            .net
-            .forward_batch_with(plan, &mut ws, &feats[..b * args.feat_len]);
-        for (logit, &idx) in logits
-            .chunks_exact(args.out_len)
-            .zip(&survivors[done..done + b])
-        {
+            )
+        },
+        |i, logit| {
+            soft.resize(logit.len(), 0.0);
             loss::softmax_into(logit, &mut soft);
-            cells[idx].score = soft[1];
-        }
-        done += b;
-    }
+            cells[survivors[i]].score = soft[1];
+        },
+    )?;
     Ok((stats, cache))
 }
 
@@ -748,17 +740,17 @@ impl HotspotDetector {
     /// position and merging flagged windows into hotspot regions.
     ///
     /// The scan is sharded into horizontal bands of window rows, one
-    /// crossbeam worker per band (band count from the configured
+    /// scoped worker per band (band count from the configured
     /// [`crate::Parallelism`], capped at the row count). Each worker
     /// rasterises only the layout strip its windows cover (adjacent
     /// strips overlap by up to one window extent), assembles per-window
     /// feature tensors from per-block DCT coefficients through a
     /// band-local cache shard keyed on the global block lattice, and
-    /// scores its windows in streaming blocks through the batched
-    /// execution planner (block size from
-    /// [`ScanConfig::with_score_block`] or the plan's arena-footprint
-    /// suggestion) — so peak memory is bounded by the strip rasters plus
-    /// one score block of features per worker, not the layout size.
+    /// scores its windows in streaming blocks through one
+    /// [`BatchScorer`] (block size from [`ScanConfig::with_score_block`]
+    /// or the plan's arena-footprint suggestion) — so peak memory is
+    /// bounded by the strip rasters plus one score block of features per
+    /// worker, not the layout size.
     ///
     /// Scores, flagged windows, merged regions and cache statistics are
     /// **independent of the thread count** and bit-identical to
@@ -835,28 +827,19 @@ impl HotspotDetector {
         let xs = axis_positions(width_nm, config.window_nm, config.stride_nm);
         let ys = axis_positions(height_nm, config.window_nm, config.stride_nm);
         let k = pipeline.coefficients();
-        let feat_len = k * n * n;
         let total = xs.len() * ys.len();
         let net = self.network();
-        let in_shape = [k, n, n];
-        let probe = net.plan(&in_shape);
-        let out_len = probe.out_len();
-        let block = config
-            .score_block
-            .unwrap_or_else(|| probe.suggested_batch())
-            .min(total)
-            .max(1);
-        let block_plan = net.plan_batch(&in_shape, block);
         let bands = band_ranges(ys.len(), self.parallelism().workers());
         let threads = bands.len();
         let prepare_s = start.elapsed().as_secs_f64();
 
         // Tiled scan phase — the layout is sharded into horizontal bands
-        // of window rows, one crossbeam worker per band. Each worker owns
-        // its raster strip, block-DCT cache shard, batch plan and warm
-        // workspace; scores land in disjoint slices of the global
-        // row-major score grid, so results are independent of the band
-        // count (the per-window arithmetic never sees the banding).
+        // of window rows, one scoped worker per band
+        // (`hotspot_nn::parallelism::map_parts`). Each worker owns
+        // its raster strip, block-DCT cache shard and batch scorer;
+        // scores land in disjoint slices of the global row-major score
+        // grid, so results are independent of the band count (the
+        // per-window arithmetic never sees the banding).
         let scan_t = Instant::now();
         let mut cells = vec![BandCell::default(); total];
         let band_args = |rows: &std::ops::Range<usize>| BandArgs {
@@ -868,45 +851,19 @@ impl HotspotDetector {
             ys: &ys[rows.clone()],
             plan: &plan,
             grid_dim: n,
-            feat_len,
             net,
-            in_shape,
-            block,
-            block_plan: &block_plan,
-            out_len,
+            in_shape: [k, n, n],
+            score_block: config.score_block,
             cascade: config.cascade(),
         };
-        let outcomes: Vec<BandOutcome> = if threads == 1 {
-            vec![scan_band(&band_args(&(0..ys.len())), &mut cells)]
-        } else {
-            let mut slices: Vec<&mut [BandCell]> = Vec::with_capacity(threads);
-            let mut rest: &mut [BandCell] = &mut cells;
-            for &(r0, r1) in &bands {
-                let (head, tail) = rest.split_at_mut((r1 - r0) * xs.len());
-                slices.push(head);
-                rest = tail;
-            }
-            match crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = bands
-                    .iter()
-                    .zip(slices)
-                    .map(|(&(r0, r1), slice)| {
-                        let args = band_args(&(r0..r1));
-                        scope.spawn(move |_| scan_band(&args, slice))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(outcome) => outcome,
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    })
-                    .collect()
-            }) {
-                Ok(outcomes) => outcomes,
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        };
+        let mut parts = Vec::with_capacity(threads);
+        let mut rest: &mut [BandCell] = &mut cells;
+        for &(r0, r1) in &bands {
+            let (head, tail) = rest.split_at_mut((r1 - r0) * xs.len());
+            parts.push((r0..r1, head));
+            rest = tail;
+        }
+        let outcomes = map_parts(parts, |(rows, slice)| scan_band(&band_args(&rows), slice));
         // Reconstruct exactly the accounting one shared cache would have
         // produced: a block is a serial cache miss only on its first fetch
         // anywhere, so `computed` is the number of *distinct* cached keys

@@ -1,8 +1,8 @@
 //! Decision-boundary shifting (paper Eq. (11)) — the naive alternative to
 //! biased learning.
 
-use crate::mgd::predict_hotspot_prob;
-use hotspot_nn::{Network, Tensor};
+use crate::mgd::hotspot_probs;
+use hotspot_nn::{Network, Parallelism, Tensor};
 
 /// Predicts hotspots with a shifted decision boundary: `F ∈ H` iff
 /// `y(1) > 0.5 - λ` (Eq. (11)). `λ = 0` is the standard rule; larger λ
@@ -10,9 +10,9 @@ use hotspot_nn::{Network, Tensor};
 /// Figure 4 shows to be inferior to biased learning.
 pub fn predict_with_shift(net: &Network, features: &[Tensor], lambda: f32) -> Vec<bool> {
     let threshold = 0.5 - lambda;
-    features
-        .iter()
-        .map(|f| predict_hotspot_prob(net, f) > threshold)
+    hotspot_probs(net, features, Parallelism::serial())
+        .into_iter()
+        .map(|p| p > threshold)
         .collect()
 }
 
@@ -38,10 +38,7 @@ pub fn shift_for_accuracy(
     assert_eq!(features.len(), labels.len(), "feature/label mismatch");
     assert!(steps > 0, "steps must be nonzero");
     // Score once; sweep thresholds over the cached probabilities.
-    let probs: Vec<f32> = features
-        .iter()
-        .map(|f| predict_hotspot_prob(net, f))
-        .collect();
+    let probs = hotspot_probs(net, features, Parallelism::serial());
     let hotspot_total = labels.iter().filter(|&&l| l).count().max(1);
     let mut last = (0.0f32, 0.0f64, 0usize);
     for s in 0..steps {

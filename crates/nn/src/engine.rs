@@ -619,9 +619,6 @@ impl Network {
 #[derive(Debug, Clone, Default)]
 pub struct Executor {
     plan: Option<ShapePlan>,
-    /// Separate slot for the batched plan so alternating single/batched
-    /// calls (e.g. a ragged scan tail after full blocks) never replan.
-    batch_plan: Option<ShapePlan>,
     ws: Workspace,
 }
 
@@ -652,31 +649,6 @@ impl Executor {
         // `ensure_plan` guarantees the plan exists.
         let plan = self.plan.as_ref().unwrap_or_else(|| unreachable!());
         net.forward_with(plan, &mut self.ws, input.as_slice())
-    }
-
-    /// Batched planned inference; see [`Network::forward_batch_with`].
-    /// `input` holds `batch` sample-major inputs of `in_shape` back to
-    /// back; the returned slice holds `batch` sample-major outputs,
-    /// bit-identical to `batch` separate [`Executor::infer`] calls. The
-    /// batched plan is cached separately from the single-sample one, so a
-    /// scan loop can interleave full blocks and a ragged tail (through a
-    /// second executor) without replanning.
-    pub fn infer_batch(
-        &mut self,
-        net: &Network,
-        input: &[f32],
-        in_shape: &[usize],
-        batch: usize,
-    ) -> &[f32] {
-        let stale = match &self.batch_plan {
-            Some(p) => p.in_shape() != in_shape || p.batch() != batch || p.layer_count != net.len(),
-            None => true,
-        };
-        if stale {
-            self.batch_plan = Some(net.plan_batch(in_shape, batch));
-        }
-        let plan = self.batch_plan.as_ref().unwrap_or_else(|| unreachable!());
-        net.forward_batch_with(plan, &mut self.ws, input)
     }
 
     /// Planned training forward; see [`Network::forward_train_with`].
@@ -725,43 +697,65 @@ impl Executor {
     }
 }
 
-/// Batched inference over *ragged* batch sizes: the entry point for
-/// callers whose batch size varies call to call (the serve daemon's
-/// micro-batcher coalesces however many requests are queued, so every
-/// cycle can be a different size).
+/// The one batch scorer: every many-input inference in the workspace
+/// splits its inputs into blocks and caches their batched plans here. Its
+/// users are the serve daemon's micro-batcher, which coalesces however
+/// many requests are queued (sizes 3, 7, 1, 12, ...), the layout scan,
+/// [`Network::forward_batch`] and the detector's `predict_batch`.
 ///
-/// [`Executor::infer_batch`] keeps exactly one batched plan and replans
-/// whenever the size changes — fine for a scan loop that runs one fixed
-/// block size plus one tail, pathological for a server seeing sizes
-/// 3, 7, 1, 12, ... This scorer instead splits each request into blocks
-/// of at most [`ShapePlan::suggested_batch`] samples and keeps one plan
-/// *per distinct block size* (at most the cap of them, each a few hundred
-/// bytes of offsets), so steady-state serving replans never and
-/// allocates nothing.
+/// Inputs are split into blocks of at most [`ShapePlan::suggested_batch`]
+/// samples (or a caller's own cap, [`BatchScorer::with_block_cap`]), and
+/// one plan is kept *per distinct block size* (at most the cap of them,
+/// each a few hundred bytes of offsets), so steady-state scoring replans
+/// never and allocates nothing. Callers write each sample straight into
+/// the scorer's one-block input buffer ([`BatchScorer::infer_each`]), so
+/// memory per call is one block whatever the input count.
 ///
 /// Scores are **bit-identical** to per-sample [`Executor::infer`] for
 /// every batch size and split, because batched execution is per-sample
-/// exact ([`Network::forward_batch_with`]); how requests are grouped can
+/// exact ([`Network::forward_batch_with`]); how inputs are grouped can
 /// therefore never change a score.
 #[derive(Debug, Clone, Default)]
 pub struct BatchScorer {
+    /// Block-size cap fixed at construction; `None` takes the plan's
+    /// `suggested_batch`.
+    fixed_cap: Option<usize>,
     /// Cache key: the input shape and layer count the plans were built
     /// for; any change drops every plan.
     in_shape: Vec<usize>,
     layer_count: usize,
-    /// Per-sample arena cap from `suggested_batch`, computed once per key.
+    /// Block-size cap for the current key, computed once per key.
     cap: usize,
     /// Cached plans, one per distinct block size seen (found by linear
     /// scan — there are at most `cap` of them).
     plans: Vec<ShapePlan>,
     ws: Workspace,
-    out: Vec<f32>,
+    /// One block of inputs.
+    input: Vec<f32>,
 }
 
 impl BatchScorer {
     /// An empty scorer; plans are built on first use.
     pub fn new() -> Self {
         BatchScorer::default()
+    }
+
+    /// A scorer whose blocks hold at most `cap` samples instead of the
+    /// plan's [`ShapePlan::suggested_batch`]: for callers that size their
+    /// own blocks, such as a scan's configured score block, or that have
+    /// already planned the single-sample shape (so the scorer need not
+    /// plan it again). Scores do not depend on the cap; memory and GEMM
+    /// width do.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cap` is zero.
+    pub fn with_block_cap(cap: usize) -> Self {
+        assert!(cap > 0, "block cap must be nonzero");
+        BatchScorer {
+            fixed_cap: Some(cap),
+            ..BatchScorer::default()
+        }
     }
 
     /// The block-size cap applied to `in_shape` (blocks larger than this
@@ -781,7 +775,9 @@ impl BatchScorer {
             self.in_shape = in_shape.to_vec();
             self.layer_count = net.len();
             self.plans.clear();
-            self.cap = net.plan(in_shape).suggested_batch();
+            self.cap = self
+                .fixed_cap
+                .unwrap_or_else(|| net.plan(in_shape).suggested_batch());
         }
     }
 
@@ -793,52 +789,54 @@ impl BatchScorer {
         self.plans.len() - 1
     }
 
-    /// Scores `batch` sample-major inputs of `in_shape` held back to back
-    /// in `input`, returning `batch` sample-major outputs. Splits into
-    /// blocks of at most [`ShapePlan::suggested_batch`] samples; each
-    /// block runs one GEMM per layer. Bit-identical to `batch` separate
-    /// [`Executor::infer`] calls regardless of how the split lands.
+    /// Scores `count` samples of `in_shape` (an extracted feature, an
+    /// assembled scan window, a queued request's row), a block at a time:
+    /// `fill(i, dst)` writes sample `i` into the scorer's one-block input
+    /// buffer, and `emit(i, out)` receives sample `i`'s output; both run in
+    /// sample order. Blocks hold at most the cap
+    /// ([`BatchScorer::block_cap`]) and each runs one GEMM per layer.
+    /// Every output is bit-identical to a per-sample [`Executor::infer`]
+    /// call, however the blocks split.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `fill` returns, after emitting every
+    /// earlier block.
     ///
     /// # Panics
     ///
-    /// Panics if `batch` is zero or `input` does not hold exactly `batch`
-    /// samples of `in_shape`.
-    pub fn infer_ragged(
+    /// Panics if `count` is zero or a sample's input or output is empty.
+    pub fn infer_each<E>(
         &mut self,
         net: &Network,
-        input: &[f32],
         in_shape: &[usize],
-        batch: usize,
-    ) -> &[f32] {
-        assert!(batch > 0, "ragged batch must be nonzero");
-        let in_len: usize = in_shape.iter().product();
-        assert_eq!(
-            input.len(),
-            in_len * batch,
-            "input length does not match batch"
-        );
+        count: usize,
+        mut fill: impl FnMut(usize, &mut [f32]) -> Result<(), E>,
+        mut emit: impl FnMut(usize, &[f32]),
+    ) -> Result<(), E> {
+        assert!(count > 0, "ragged batch must be nonzero");
         self.ensure_key(net, in_shape);
-        let cap = self.cap;
-        let out_len = {
-            let idx = self.plan_for(net, batch.min(cap));
-            self.plans[idx].out_len()
-        };
-        if self.out.len() < out_len * batch {
-            self.out.resize(out_len * batch, 0.0);
+        let in_len: usize = in_shape.iter().product();
+        let block_len = self.cap.min(count) * in_len;
+        if self.input.len() < block_len {
+            self.input.resize(block_len, 0.0);
         }
         let mut done = 0;
-        while done < batch {
-            let block = (batch - done).min(cap);
+        while done < count {
+            let block = (count - done).min(self.cap);
+            let input = &mut self.input[..block * in_len];
+            for (j, dst) in input.chunks_exact_mut(in_len).enumerate() {
+                fill(done + j, dst)?;
+            }
             let idx = self.plan_for(net, block);
-            let scores = net.forward_batch_with(
-                &self.plans[idx],
-                &mut self.ws,
-                &input[done * in_len..(done + block) * in_len],
-            );
-            self.out[done * out_len..(done + block) * out_len].copy_from_slice(scores);
+            let plan = &self.plans[idx];
+            let out = net.forward_batch_with(plan, &mut self.ws, &self.input[..block * in_len]);
+            for (j, y) in out.chunks_exact(plan.out_len()).enumerate() {
+                emit(done + j, y);
+            }
             done += block;
         }
-        &self.out[..out_len * batch]
+        Ok(())
     }
 }
 
@@ -1150,26 +1148,35 @@ mod tests {
         }
     }
 
-    #[test]
-    fn executor_infer_batch_matches_per_sample_infer() {
-        let net = paper_like_net();
-        let in_len = 2 * 6 * 6;
-        let batch = 4;
-        let xs: Vec<f32> = (0..in_len * batch)
-            .map(|i| (i as f32 * 0.53).cos())
-            .collect();
-        let mut ex = Executor::new();
-        let batched = ex.infer_batch(&net, &xs, &[2, 6, 6], batch).to_vec();
-        let mut single = Vec::new();
-        for b in 0..batch {
-            let x = Tensor::from_vec(vec![2, 6, 6], xs[b * in_len..(b + 1) * in_len].to_vec());
-            single.extend_from_slice(ex.infer(&net, &x));
-        }
-        assert_eq!(batched, single);
-        // Alternating batched and single calls must not disturb either
-        // cached plan (both slots stay warm).
-        let again = ex.infer_batch(&net, &xs, &[2, 6, 6], batch).to_vec();
-        assert_eq!(again, batched);
+    /// Scores `batch` samples of `in_shape`, held back to back in `xs`,
+    /// through [`BatchScorer::infer_each`]; returns the outputs back to
+    /// back.
+    fn score_packed(
+        scorer: &mut BatchScorer,
+        net: &Network,
+        xs: &[f32],
+        in_shape: &[usize],
+        batch: usize,
+    ) -> Vec<f32> {
+        let in_len: usize = in_shape.iter().product();
+        let mut out = Vec::new();
+        let mut order = Vec::new();
+        let filled = scorer.infer_each(
+            net,
+            in_shape,
+            batch,
+            |i, dst| {
+                dst.copy_from_slice(&xs[i * in_len..(i + 1) * in_len]);
+                Ok::<(), ()>(())
+            },
+            |i, y| {
+                order.push(i);
+                out.extend_from_slice(y);
+            },
+        );
+        assert_eq!(filled, Ok(()));
+        assert_eq!(order, (0..batch).collect::<Vec<_>>(), "emit order");
+        out
     }
 
     #[test]
@@ -1193,9 +1200,7 @@ mod tests {
         // Every prefix size, scored in one ragged call, matches the
         // per-sample reference bitwise — independent of scoring order.
         for batch in 1..=max_batch {
-            let scores = scorer
-                .infer_ragged(&net, &xs[..batch * in_len], &in_shape, batch)
-                .to_vec();
+            let scores = score_packed(&mut scorer, &net, &xs, &in_shape, batch);
             assert_eq!(scores.len(), batch * out_len);
             for (i, (a, b)) in scores.iter().zip(&reference).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "batch {batch} output {i}");
@@ -1216,7 +1221,7 @@ mod tests {
         assert!(cap >= 1);
         let batch = 2 * cap + 1; // two full blocks plus a ragged tail
         let xs: Vec<f32> = (0..6000 * batch).map(|i| (i as f32 * 0.11).sin()).collect();
-        let scores = scorer.infer_ragged(&net, &xs, &[6000], batch).to_vec();
+        let scores = score_packed(&mut scorer, &net, &xs, &[6000], batch);
         // Bit-identical to per-sample inference.
         let mut ex = Executor::new();
         for b in 0..batch {
@@ -1230,8 +1235,53 @@ mod tests {
         // and re-scoring the same sizes builds no more.
         let cached = scorer.cached_plans();
         assert!(cached <= 2, "cached {cached} plans");
-        let _ = scorer.infer_ragged(&net, &xs, &[6000], batch);
+        let _ = score_packed(&mut scorer, &net, &xs, &[6000], batch);
         assert_eq!(scorer.cached_plans(), cached);
+    }
+
+    #[test]
+    fn ragged_scorer_fills_capped_blocks_one_sample_at_a_time() {
+        let net = paper_like_net();
+        let in_shape = [2usize, 6, 6];
+        let in_len = 2 * 6 * 6;
+        let xs: Vec<f32> = (0..in_len * 9).map(|i| (i as f32 * 0.53).cos()).collect();
+        let mut ex = Executor::new();
+        let reference: Vec<f32> = xs
+            .chunks_exact(in_len)
+            .flat_map(|x| {
+                ex.infer(&net, &Tensor::from_vec(in_shape.to_vec(), x.to_vec()))
+                    .to_vec()
+            })
+            .collect();
+        let mut scorer = BatchScorer::with_block_cap(4);
+        assert_eq!(scorer.block_cap(&net, &in_shape), 4);
+        for count in 1..=9 {
+            let got = score_packed(&mut scorer, &net, &xs, &in_shape, count);
+            assert_eq!(got.len(), count * 2);
+            for (i, (a, b)) in got.iter().zip(&reference).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "count {count} output {i}");
+            }
+        }
+        // Blocks of 4 plus every tail size seen: 1, 2 and 3.
+        assert_eq!(scorer.cached_plans(), 4);
+        // A failing fill stops at its block; earlier blocks were emitted.
+        let mut emitted = 0;
+        let failed = scorer.infer_each(
+            &net,
+            &in_shape,
+            9,
+            |i, dst| {
+                dst.fill(0.0);
+                if i == 5 {
+                    Err(i)
+                } else {
+                    Ok(())
+                }
+            },
+            |_, _| emitted += 1,
+        );
+        assert_eq!(failed, Err(5));
+        assert_eq!(emitted, 4);
     }
 
     #[test]
@@ -1239,7 +1289,7 @@ mod tests {
     fn ragged_scorer_rejects_zero_batch() {
         let net = paper_like_net();
         let mut scorer = BatchScorer::new();
-        let _ = scorer.infer_ragged(&net, &[], &[2, 6, 6], 0);
+        let _ = score_packed(&mut scorer, &net, &[], &[2, 6, 6], 0);
     }
 
     #[test]

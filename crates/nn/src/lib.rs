@@ -21,13 +21,17 @@
 //!   a `ShapePlan`/`Workspace` pair that preallocates every intermediate
 //!   buffer in one arena and fuses activation epilogues into the GEMM
 //!   layers, so steady-state inference and training do zero allocations.
-//!   [`engine::Executor`] is the front door; `BatchScorer` serves ragged
-//!   batches.
+//!   [`engine::Executor`] is the front door for one sample at a time;
+//!   [`engine::BatchScorer`] is the one batch scorer, behind the serve
+//!   daemon, the scan, [`Network::forward_batch`] and the detector's
+//!   `predict_batch`.
 //! - [`optim`]: the paper's mini-batch gradient descent step (Algorithm 1)
 //!   with step-decayed learning rate.
 //! - [`parallel`]: deterministic multi-threaded mini-batch gradients
 //!   (the "MGD is compatible with parallel computing" point of §5).
-//! - [`parallelism`]: the worker-count policy for batch inference.
+//! - [`parallelism`]: the worker-count policy for batch inference and
+//!   the one scoped fan-out, [`parallelism::map_parts`], that the batch
+//!   entry points and the scan's bands run on.
 //! - [`data`]: seeded mini-batch sampling.
 //! - [`serialize`]: flat parameter export/import for model persistence.
 //! - [`ulp`]: the ULP-distance contract SIMD kernels are held to.

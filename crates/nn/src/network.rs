@@ -59,13 +59,13 @@ impl Network {
         self.layers.is_empty()
     }
 
-    /// Inference over a batch of same-shaped inputs on the **batched
-    /// planner** ([`Network::forward_batch_with`]): each worker packs its
-    /// inputs into sample-major blocks (block size from
-    /// [`crate::engine::ShapePlan::suggested_batch`]) and scores a whole
-    /// block per planned pass, streaming every weight matrix once per
-    /// block instead of once per input. Workers all share `&self` — no
-    /// replica cloning — and results come back in input order.
+    /// Inference over a batch of same-shaped inputs: the inputs are split
+    /// over the workers of `parallelism` ([`crate::Parallelism::map_chunks`]),
+    /// and each worker scores its slice through one
+    /// [`crate::engine::BatchScorer`], a block of inputs per planned pass,
+    /// streaming every weight matrix once per block instead of once per
+    /// input. Workers all share `&self` — no replica cloning — and results
+    /// come back in input order.
     ///
     /// Bit-identical to per-input [`crate::engine::Executor::infer`] calls
     /// for any worker policy: GEMM batch columns are computed independently
@@ -82,78 +82,49 @@ impl Network {
             // Nothing to score: avoid planning a degenerate workspace.
             return Vec::new();
         }
-        let in_shape = inputs[0].shape().to_vec();
+        let in_shape = inputs[0].shape();
         for x in inputs {
             assert_eq!(
                 x.shape(),
-                in_shape.as_slice(),
+                in_shape,
                 "forward_batch inputs must share one shape"
             );
         }
-        let in_len: usize = in_shape.iter().product();
-        let probe = self.plan(&in_shape);
-        let out_len = probe.out_len();
-        let out_shape = probe.out_shape().to_vec();
-        if in_len == 0 || out_len == 0 {
+        let probe = self.plan(in_shape);
+        let out_shape = probe.out_shape();
+        if in_shape.contains(&0) || out_shape.contains(&0) {
             // Zero-length samples cannot be packed into flat sample-major
             // blocks; score the degenerate shapes one by one.
             let mut ex = crate::engine::Executor::new();
             return inputs
                 .iter()
-                .map(|x| Tensor::from_vec(out_shape.clone(), ex.infer(self, x).to_vec()))
+                .map(|x| Tensor::from_vec(out_shape.to_vec(), ex.infer(self, x).to_vec()))
                 .collect();
         }
-        let block = probe.suggested_batch().min(inputs.len());
-        let block_plan = self.plan_batch(&in_shape, block);
-        let workers = parallelism.workers().min(inputs.len()).max(1);
-
-        let score_chunk = |slice: &[Tensor]| -> Vec<Tensor> {
-            let mut ws = crate::engine::Workspace::new();
-            let mut flat = vec![0.0f32; block * in_len];
-            // The last chunk of a worker's slice can be ragged
-            // (`slice.len() % block != 0`); its plan is built lazily, once.
-            let mut tail_plan: Option<crate::engine::ShapePlan> = None;
+        // The probe's block size caps every worker's scorer, so no worker
+        // plans the single-sample shape again.
+        let cap = probe.suggested_batch();
+        let score_slice = |slice: &[Tensor]| {
             let mut out = Vec::with_capacity(slice.len());
-            for chunk in slice.chunks(block) {
-                let b = chunk.len();
-                for (j, x) in chunk.iter().enumerate() {
-                    flat[j * in_len..(j + 1) * in_len].copy_from_slice(x.as_slice());
-                }
-                let plan = if b == block {
-                    &block_plan
-                } else {
-                    tail_plan.get_or_insert_with(|| self.plan_batch(&in_shape, b))
-                };
-                let y = self.forward_batch_with(plan, &mut ws, &flat[..b * in_len]);
-                for ys in y.chunks_exact(out_len) {
-                    out.push(Tensor::from_vec(out_shape.clone(), ys.to_vec()));
-                }
-            }
+            let mut scorer = crate::engine::BatchScorer::with_block_cap(cap);
+            let filled = scorer.infer_each(
+                self,
+                in_shape,
+                slice.len(),
+                |i, dst| {
+                    dst.copy_from_slice(slice[i].as_slice());
+                    Ok::<(), std::convert::Infallible>(())
+                },
+                |_, y| out.push(Tensor::from_vec(out_shape.to_vec(), y.to_vec())),
+            );
+            let Ok(()) = filled;
             out
         };
-        if workers == 1 {
-            return score_chunk(inputs);
-        }
-        let chunk = inputs.len().div_ceil(workers);
-        let mut outputs: Vec<Vec<Tensor>> = vec![Vec::new(); workers];
-        let score_chunk = &score_chunk;
-        if let Err(payload) = crossbeam::thread::scope(|scope| {
-            for (worker, slot) in outputs.iter_mut().enumerate() {
-                // Ceil-division chunking can leave trailing workers past
-                // the end (13 inputs / 8 workers); clamp them to empty.
-                let start = (worker * chunk).min(inputs.len());
-                let slice = &inputs[start..(start + chunk).min(inputs.len())];
-                scope.spawn(move |_| {
-                    *slot = score_chunk(slice);
-                });
-            }
-        }) {
-            // A worker panic is a bug in layer code, not a recoverable
-            // condition: propagate the original payload instead of wrapping
-            // it in a second panic message.
-            std::panic::resume_unwind(payload);
-        }
-        outputs.into_iter().flatten().collect()
+        parallelism
+            .map_chunks(inputs, score_slice)
+            .into_iter()
+            .flatten()
+            .collect()
     }
 
     /// Clears all accumulated gradients.

@@ -11,9 +11,9 @@
 //! the feature tensors straight into the job's buffer (CPU-parallel across
 //! connections), snapshots the serving model, and pushes one predict job
 //! onto a **bounded** queue; a single batcher thread drains *everything*
-//! queued at once, groups the jobs by model snapshot, concatenates their
-//! features and scores each group through one ragged batched inference
-//! call ([`BatchScorer::infer_ragged`]) on the engine's one scorer, whose
+//! queued at once, groups the jobs by model snapshot, and scores each
+//! group's features, in job order, through one ragged batched inference
+//! call ([`BatchScorer::infer_each`]) on the engine's one scorer, whose
 //! plans persist across drain cycles. Two clients that arrive within one
 //! drain cycle therefore share GEMM blocks. Batched inference is
 //! composition-independent (pinned in `hotspot-nn`), so coalescing never
@@ -610,18 +610,31 @@ impl Engine {
         let in_shape = pipeline.input_shape();
         let total: usize = group.iter().map(|job| job.count).sum();
         let feat_len: usize = in_shape.iter().product();
-        let mut flat = Vec::with_capacity(total * feat_len);
-        for job in &group {
-            flat.extend_from_slice(&job.features);
-        }
-        let out = scorer.infer_ragged(model.detector().network(), &flat, &in_shape, total);
-        let out_len = out.len() / total;
-        let mut soft = vec![0.0f32; out_len];
+        // The scorer asks for rows in order, so one cursor walks the jobs'
+        // features straight into its input block.
+        let mut rows = group
+            .iter()
+            .flat_map(|job| job.features.chunks_exact(feat_len));
+        let mut soft = Vec::new();
         let mut scores = Vec::with_capacity(total);
-        for row in 0..total {
-            loss::softmax_into(&out[row * out_len..(row + 1) * out_len], &mut soft);
-            scores.push(soft[1]);
-        }
+        let filled = scorer.infer_each(
+            model.detector().network(),
+            &in_shape,
+            total,
+            |_, dst| {
+                match rows.next() {
+                    Some(row) => dst.copy_from_slice(row),
+                    None => unreachable!("a job holds `count` feature rows"),
+                }
+                Ok::<(), std::convert::Infallible>(())
+            },
+            |_, y| {
+                soft.resize(y.len(), 0.0);
+                loss::softmax_into(y, &mut soft);
+                scores.push(soft[1]);
+            },
+        );
+        let Ok(()) = filled;
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.max_batch.fetch_max(total as u64, Ordering::Relaxed);
         let mut offset = 0;

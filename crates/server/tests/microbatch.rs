@@ -49,13 +49,21 @@ fn concurrent_predicts_coalesce_into_shared_gemm_blocks() {
     let pipeline = model_file.pipeline().unwrap();
     let net = model_file.network().unwrap();
     let in_shape = pipeline.input_shape();
-    let mut flat = Vec::new();
-    for clip in [&a, &b] {
-        flat.extend_from_slice(pipeline.extract(clip).unwrap().as_slice());
-    }
+    let features = [pipeline.extract(&a).unwrap(), pipeline.extract(&b).unwrap()];
     let mut scorer = BatchScorer::new();
     let before = gemm_call_count();
-    scorer.infer_ragged(&net, &flat, &in_shape, 2);
+    scorer
+        .infer_each(
+            &net,
+            &in_shape,
+            2,
+            |i, dst| {
+                dst.copy_from_slice(features[i].as_slice());
+                Ok::<(), ()>(())
+            },
+            |_, _| {},
+        )
+        .unwrap();
     let reference = gemm_call_count() - before;
     assert_eq!(
         coalesced, reference,

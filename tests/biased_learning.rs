@@ -9,7 +9,7 @@ use hotspot_core::FeaturePipeline;
 use hotspot_datagen::suite::SuiteSpec;
 use hotspot_datagen::PatternKind;
 use hotspot_litho::{LithoConfig, LithoSimulator};
-use hotspot_nn::Tensor;
+use hotspot_nn::{Parallelism, Tensor};
 
 struct Setup {
     train_x: Vec<Tensor>,
@@ -69,7 +69,10 @@ fn setup() -> Setup {
 }
 
 fn recall_and_fa(net: &hotspot_nn::Network, xs: &[Tensor], ys: &[bool]) -> (f64, usize) {
-    let preds = mgd::predict_all(net, xs);
+    let preds: Vec<bool> = mgd::hotspot_probs(net, xs, Parallelism::serial())
+        .into_iter()
+        .map(|p| p > 0.5)
+        .collect();
     let mut hits = 0usize;
     let mut total = 0usize;
     let mut fas = 0usize;

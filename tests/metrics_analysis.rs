@@ -4,7 +4,7 @@
 use hotspot_core::calibration::{expected_calibration_error, reliability_diagram};
 use hotspot_core::detector::{DetectorConfig, HotspotDetector};
 use hotspot_core::mgd::MgdConfig;
-use hotspot_core::{roc, FeaturePipeline};
+use hotspot_core::{roc, FeaturePipeline, Parallelism};
 use hotspot_datagen::suite::SuiteSpec;
 use hotspot_datagen::PatternKind;
 use hotspot_litho::{LithoConfig, LithoSimulator};
@@ -53,10 +53,11 @@ fn trained_setup() -> (HotspotDetector, Vec<hotspot_nn::Tensor>, Vec<bool>) {
 fn roc_curve_brackets_the_default_operating_point() {
     let (detector, test_x, test_y) = trained_setup();
     // Default operating point from hard predictions.
-    let preds: Vec<bool> = test_x
-        .iter()
-        .map(|f| hotspot_core::mgd::predict_hotspot_prob(detector.network(), f) > 0.5)
-        .collect();
+    let preds: Vec<bool> =
+        hotspot_core::mgd::hotspot_probs(detector.network(), &test_x, Parallelism::serial())
+            .into_iter()
+            .map(|p| p > 0.5)
+            .collect();
     let hits = preds
         .iter()
         .zip(test_y.iter())
