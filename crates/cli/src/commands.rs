@@ -77,7 +77,8 @@ fn required<'a>(args: &'a ExperimentArgs, key: &str) -> Result<&'a str, CliError
 /// Usage, generation and I/O failures.
 pub fn cmd_gen(args: &ExperimentArgs) -> Result<String, CliError> {
     let suite = args.string("suite", "iccad");
-    let scale = args.try_f64("scale", 0.01)?;
+    let scale = SuiteSpec::check_scale(args.try_f64("scale", 0.01)?)
+        .map_err(|e| CliError::Usage(format!("--{e}")))?;
     let dir = required(args, "dir")?.to_string();
     let spec = SuiteSpec::by_name(&suite, scale).ok_or_else(|| {
         CliError::Usage(format!(

@@ -148,6 +148,17 @@ fn malformed_command_lines_are_usage_errors() {
         msg.contains("--cascade-grid") && msg.contains("'abc'"),
         "{msg}"
     );
+    // A scale outside (0, 1] used to panic in the suite builder, or (inf)
+    // never return.
+    for (scale, shown) in [
+        ("0", "'0'"),
+        ("-1", "'-1'"),
+        ("nan", "'NaN'"),
+        ("inf", "'inf'"),
+    ] {
+        let msg = usage_message("gen", &format!("--dir d --suite industry3 --scale {scale}"));
+        assert!(msg.contains("--scale") && msg.contains(shown), "{msg}");
+    }
 }
 
 #[test]

@@ -22,6 +22,7 @@ use hotspot_geometry::Clip;
 use hotspot_nn::serialize::crc32;
 use std::error::Error;
 use std::fmt;
+use std::str::FromStr;
 
 /// Manifest format version (the `hotspot-suite-manifest v<N>` header).
 pub const MANIFEST_FORMAT: u32 = 1;
@@ -367,23 +368,24 @@ impl Manifest {
         }
         Ok(Manifest {
             name: name.ok_or_else(|| bad(0, "missing 'name' record"))?,
-            suite_version: suite_version.ok_or_else(|| bad(0, "missing 'suite-version' record"))?
-                as u32,
+            suite_version: suite_version.ok_or_else(|| bad(0, "missing 'suite-version' record"))?,
             seed: seed.ok_or_else(|| bad(0, "missing 'seed' record"))?,
             corner_schema: corner_schema.ok_or_else(|| bad(0, "missing 'corner-schema' record"))?,
             splits,
             families,
-            augmented: augmented.ok_or_else(|| bad(0, "missing 'augmented' record"))? as usize,
+            augmented: augmented.ok_or_else(|| bad(0, "missing 'augmented' record"))?,
             total_crc: recorded,
         })
     }
 }
 
-fn parse_field<'a>(
+/// The next field as an integer of type `T`; a value out of `T`'s range
+/// is malformed, never truncated.
+fn parse_field<'a, T: FromStr>(
     fields: &mut impl Iterator<Item = &'a str>,
     lineno: usize,
     what: &str,
-) -> Result<u64, ManifestError> {
+) -> Result<T, ManifestError> {
     fields
         .next()
         .ok_or_else(|| ManifestError::Malformed {
@@ -393,7 +395,7 @@ fn parse_field<'a>(
         .parse()
         .map_err(|_| ManifestError::Malformed {
             line: lineno,
-            reason: format!("{what} is not an integer"),
+            reason: format!("{what} is not an integer in range"),
         })
 }
 
@@ -403,7 +405,7 @@ fn parse_kv<'a>(
     lineno: usize,
 ) -> Result<usize, ManifestError> {
     expect_key(fields, key, lineno)?;
-    Ok(parse_field(fields, lineno, key)? as usize)
+    parse_field(fields, lineno, key)
 }
 
 fn parse_kv_hex<'a>(
@@ -490,6 +492,24 @@ mod tests {
             Manifest::parse(&tampered),
             Err(ManifestError::TotalCrcMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn out_of_range_suite_version_is_malformed() {
+        let m = Manifest::from_data(&golden_data());
+        let body = m.render_body();
+        let line = format!("suite-version {}\n", m.suite_version);
+        for v in ["4294967297", "4294967296", "-1"] {
+            // A consistent document: the total-crc covers the bad value.
+            let body = body.replacen(&line, &format!("suite-version {v}\n"), 1);
+            let text = format!("{body}total-crc {:08x}\nend\n", crc32(body.as_bytes()));
+            match Manifest::parse(&text) {
+                Err(ManifestError::Malformed { line: 3, reason }) => {
+                    assert!(reason.contains("suite-version"), "{reason}")
+                }
+                other => panic!("suite-version {v} parsed as {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
+use std::fmt;
 
 /// Current suite-generation recipe version, embedded in specs and
 /// manifests. Bump whenever the generation algorithm changes so persisted
@@ -40,6 +41,19 @@ fn family_stream(kind: PatternKind) -> u64 {
         .position(|&k| k == kind)
         .expect("every PatternKind appears in ALL") as u64
 }
+
+/// A suite scale outside (0, 1]: zero, negative, `NaN`, or above the
+/// paper's full benchmark size (infinity included).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ScaleError(pub f64);
+
+impl fmt::Display for ScaleError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "scale must be in (0, 1], got '{}'", self.0)
+    }
+}
+
+impl std::error::Error for ScaleError {}
 
 const CHOOSER_STREAM: u64 = 0;
 const SHUFFLE_STREAM: u64 = u64::MAX;
@@ -76,6 +90,18 @@ pub struct SuiteSpec {
 }
 
 impl SuiteSpec {
+    /// Checks a scale for the scaled constructors ([`SuiteSpec::iccad`]
+    /// and the rest): it must lie in (0, 1], 1 being the paper's full
+    /// benchmark size. The constructors panic on any other scale, so a
+    /// caller with a scale from its user checks it here first.
+    pub fn check_scale(scale: f64) -> Result<f64, ScaleError> {
+        if scale > 0.0 && scale <= 1.0 {
+            Ok(scale)
+        } else {
+            Err(ScaleError(scale))
+        }
+    }
+
     /// The merged ICCAD-2012 benchmark (paper: 1204/17096 train,
     /// 2524/13503 test), scaled by `scale` with a floor of 8 samples per
     /// bucket. Mostly regular line/space patterns — the "easy" benchmark.
@@ -471,7 +497,9 @@ impl SuiteSpec {
 }
 
 fn scaled(count: usize, scale: f64) -> usize {
-    assert!(scale > 0.0, "scale must be positive");
+    if let Err(e) = SuiteSpec::check_scale(scale) {
+        panic!("{e}");
+    }
     ((count as f64 * scale).round() as usize).max(8)
 }
 
@@ -561,6 +589,23 @@ mod tests {
         for sample in data.train.iter().take(10) {
             assert_eq!(s.label_clip(&sample.clip), sample.hotspot);
         }
+    }
+
+    #[test]
+    fn scales_outside_zero_to_one_are_rejected() {
+        for bad in [0.0, -0.0, -1.0, 1.5, f64::NAN, f64::INFINITY] {
+            let err = SuiteSpec::check_scale(bad).unwrap_err();
+            assert!(err.to_string().starts_with("scale must be in (0, 1]"));
+        }
+        for good in [1e-9, 0.02, 1.0] {
+            assert_eq!(SuiteSpec::check_scale(good), Ok(good));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "scale must be in (0, 1], got 'inf'")]
+    fn an_infinite_scale_panics_instead_of_drawing_forever() {
+        SuiteSpec::vias(f64::INFINITY);
     }
 
     #[test]

@@ -1,11 +1,17 @@
 //! Property-based tests for the benchmark-generation substrate.
 
-use hotspot_datagen::manifest::{clip_crc, Manifest};
+use hotspot_datagen::manifest::{clip_crc, FamilyEntry, Manifest, SplitEntry};
 use hotspot_datagen::suite::SuiteSpec;
-use hotspot_datagen::{patterns, AugmentConfig, Dataset, PatternKind, Sample, Symmetry};
+use hotspot_datagen::{
+    patterns, read_corner_labels, write_corner_labels, AugmentConfig, Dataset, PatternKind, Sample,
+    Symmetry,
+};
 use hotspot_geometry::{Clip, Rect};
-use hotspot_litho::{LithoConfig, LithoSimulator};
+use hotspot_litho::{CornerLabels, LithoConfig, LithoSimulator};
+use hotspot_nn::serialize::crc32;
+use proptest::collection::vec;
 use proptest::prelude::*;
+use proptest::sample::select;
 use rand::SeedableRng;
 use std::collections::HashSet;
 
@@ -209,5 +215,193 @@ proptest! {
             }
         }
         prop_assert_eq!(extras, with_aug.augmented);
+    }
+}
+
+/// A whitespace-free token, as manifest names must be. The alphabet cannot
+/// spell `none` or `total-crc`.
+fn arb_token() -> impl Strategy<Value = String> {
+    vec(select("abcxyz019_-.[],".chars().collect()), 1..12).prop_map(|cs| cs.into_iter().collect())
+}
+
+fn arb_split() -> impl Strategy<Value = SplitEntry> {
+    (
+        arb_token(),
+        0usize..=usize::MAX,
+        0usize..=usize::MAX,
+        0u32..=u32::MAX,
+        0u32..=u32::MAX,
+        (proptest::bool::ANY, 0u32..=u32::MAX),
+    )
+        .prop_map(
+            |(split, count, hotspots, clips_crc, labels_crc, (has_corners, corners))| SplitEntry {
+                split,
+                count,
+                hotspots,
+                clips_crc,
+                labels_crc,
+                corners_crc: has_corners.then_some(corners),
+            },
+        )
+}
+
+fn arb_family() -> impl Strategy<Value = FamilyEntry> {
+    (
+        arb_token(),
+        0usize..=usize::MAX,
+        0usize..=usize::MAX,
+        0usize..=usize::MAX,
+        0u32..=u32::MAX,
+    )
+        .prop_map(|(family, drawn, kept_hs, kept_nhs, crc)| FamilyEntry {
+            family,
+            drawn,
+            kept_hs,
+            kept_nhs,
+            crc,
+        })
+}
+
+/// Any manifest the format can carry, with its `total-crc` over the
+/// rendered body.
+fn arb_manifest() -> impl Strategy<Value = Manifest> {
+    (
+        arb_token(),
+        0u32..=u32::MAX,
+        0u64..=u64::MAX,
+        (proptest::bool::ANY, arb_token()),
+        (vec(arb_split(), 0..4), vec(arb_family(), 0..6)),
+        0usize..=usize::MAX,
+    )
+        .prop_map(
+            |(name, suite_version, seed, (has_schema, schema), (splits, families), augmented)| {
+                let mut m = Manifest {
+                    name,
+                    suite_version,
+                    seed,
+                    corner_schema: has_schema.then_some(schema),
+                    splits,
+                    families,
+                    augmented,
+                    total_crc: 0,
+                };
+                let text = m.render();
+                let body = &text[..text.rfind("total-crc ").expect("rendered tail")];
+                m.total_crc = crc32(body.as_bytes());
+                m
+            },
+        )
+}
+
+/// Lines of manifest keywords, numbers at and past the integer limits, and
+/// stray tokens.
+fn arb_manifest_text() -> impl Strategy<Value = String> {
+    let words = vec![
+        "hotspot-suite-manifest",
+        "v1",
+        "v2",
+        "name",
+        "suite-version",
+        "seed",
+        "corner-schema",
+        "none",
+        "split",
+        "count",
+        "hotspots",
+        "clips-crc",
+        "labels-crc",
+        "corners-crc",
+        "family",
+        "drawn",
+        "kept-hs",
+        "kept-nhs",
+        "crc",
+        "augmented",
+        "total-crc",
+        "end",
+        "0",
+        "-1",
+        "4294967297",
+        "18446744073709551616",
+        "ffffffff",
+        "1ffffffff",
+        "zz",
+        "",
+        "\t",
+        "\u{e9}",
+    ];
+    vec(vec(select(words), 0..8), 0..14).prop_map(|lines| {
+        let lines: Vec<String> = lines.iter().map(|l| l.join(" ")).collect();
+        lines.join("\n")
+    })
+}
+
+/// `text` with byte `at` (modulo its length) replaced by `byte`, read back
+/// lossily as UTF-8.
+fn mutate(text: &str, at: usize, byte: u8) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    if !bytes.is_empty() {
+        let i = at % bytes.len();
+        bytes[i] = byte;
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+fn arb_corner_labels() -> impl Strategy<Value = Vec<CornerLabels>> {
+    vec(
+        (i64::MIN..=i64::MAX, vec(proptest::bool::ANY, 1..12)),
+        0..20,
+    )
+    .prop_map(|rows| {
+        rows.into_iter()
+            .map(|(severity, fails)| CornerLabels { fails, severity })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn manifests_round_trip_through_text(m in arb_manifest()) {
+        prop_assert_eq!(Manifest::parse(&m.render()), Ok(m));
+    }
+
+    #[test]
+    fn manifest_parsing_never_panics(
+        text in arb_manifest_text(),
+        m in arb_manifest(),
+        (at, byte) in (0usize..=usize::MAX, 0u8..=255),
+    ) {
+        let _ = Manifest::parse(&text);
+        let _ = Manifest::parse(&mutate(&m.render(), at, byte));
+    }
+
+    #[test]
+    fn corner_labels_round_trip(labels in arb_corner_labels()) {
+        let mut bytes = Vec::new();
+        write_corner_labels(&mut bytes, &labels).expect("writes to a Vec");
+        prop_assert_eq!(read_corner_labels(&bytes[..]).expect("reads back"), labels);
+    }
+
+    #[test]
+    fn corner_label_parsing_never_panics(
+        lines in vec(vec(select(vec![
+            "-3", "01001", "1", "0", "", " ", "\t", "x", "012", "9223372036854775808",
+            "-9223372036854775809", "\u{e9}",
+        ]), 0..4), 0..10),
+        labels in arb_corner_labels(),
+        (at, byte) in (0usize..=usize::MAX, 0u8..=255),
+    ) {
+        let text: Vec<String> = lines.iter().map(|l| l.join(" ")).collect();
+        let _ = read_corner_labels(text.join("\n").as_bytes());
+        let mut bytes = Vec::new();
+        write_corner_labels(&mut bytes, &labels).expect("writes to a Vec");
+        if !bytes.is_empty() {
+            let i = at % bytes.len();
+            bytes[i] = byte;
+        }
+        // Raw bytes: invalid UTF-8 must be an error, not a panic.
+        let _ = read_corner_labels(&bytes[..]);
     }
 }

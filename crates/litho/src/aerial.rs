@@ -28,19 +28,47 @@ use hotspot_geometry::Grid;
 /// # }
 /// ```
 pub fn aerial_image(mask: &Grid<f32>, psf: &Kernel1d) -> Grid<f32> {
-    aerial_region(mask, psf, Region::full(mask))
+    aerial_region(Isa::detect(), mask, psf, Region::full(mask))
 }
 
 /// The pixels of [`aerial_image`] over `region` alone, bit for bit, at
 /// the cost of convolving only the region and the rows its column pass
-/// reads.
-pub(crate) fn aerial_region(mask: &Grid<f32>, psf: &Kernel1d, region: Region) -> Grid<f32> {
-    let weights = psf.weights();
-    separable_filter(mask, region, psf.radius(), 0.0, |acc, src, tap| {
-        let w = weights[tap];
-        for (a, &s) in acc.iter_mut().zip(src) {
-            *a += s * w;
+/// reads, on the `isa` instance.
+pub(crate) fn aerial_region(
+    isa: Isa,
+    mask: &Grid<f32>,
+    psf: &Kernel1d,
+    region: Region,
+) -> Grid<f32> {
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 if isa.available() => {
+            // SAFETY: the guard has just checked that the CPU has the
+            // features the instance is compiled for.
+            unsafe { aerial_avx512(mask, psf, region) }
         }
+        // Five vectors of `f32` per block; ten 4-lane ones would not fit
+        // the baseline's sixteen registers.
+        _ => convolve::<40>(mask, psf, region),
+    }
+}
+
+/// The AVX-512 instance of [`aerial_region`]; call it only where
+/// [`Isa::Avx512`] is [available](Isa::available).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw")]
+fn aerial_avx512(mask: &Grid<f32>, psf: &Kernel1d, region: Region) -> Grid<f32> {
+    // Five 16-lane vectors per block.
+    convolve::<80>(mask, psf, region)
+}
+
+/// The body of every [`aerial_region`] instance: the PSF convolution in
+/// blocks of `B` lanes, each tap a multiply then an add.
+#[inline(always)]
+fn convolve<const B: usize>(mask: &Grid<f32>, psf: &Kernel1d, region: Region) -> Grid<f32> {
+    let weights = psf.weights();
+    separable_filter::<_, B>(mask, region, psf.radius(), 0.0, |acc, src, tap| {
+        acc + src * weights[tap]
     })
 }
 
@@ -86,54 +114,156 @@ impl Region {
     }
 }
 
+/// The instruction sets the oracle's vector kernels (the PSF convolution
+/// and the corner counts) are compiled for: each kernel is one
+/// `#[inline(always)]` body built twice. Lanes are pixels and both
+/// instances form a pixel with the same operations in the same order, so
+/// they give the same bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Isa {
+    /// The target's baseline (SSE2 on x86-64).
+    Baseline,
+    /// AVX-512F and AVX-512BW.
+    Avx512,
+}
+
+impl Isa {
+    /// The widest instance this CPU runs.
+    pub(crate) fn detect() -> Isa {
+        if Isa::Avx512.available() {
+            Isa::Avx512
+        } else {
+            Isa::Baseline
+        }
+    }
+
+    /// Whether this CPU has the instance's features. A kernel asked for an
+    /// instance the CPU lacks runs the baseline one.
+    pub(crate) fn available(self) -> bool {
+        match self {
+            Isa::Baseline => true,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => {
+                is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512bw")
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            Isa::Avx512 => false,
+        }
+    }
+}
+
 /// A separable `(2r + 1)²` window filter of `image`, evaluated over
 /// `region` only: the row pass runs over the region's columns on its rows
 /// ± `r` (clamped to the image), the column pass over the region.
 ///
 /// Every output cell starts at `init`, and each pass folds in the source
-/// cells of its 1-D window that lie inside the image, one shifted row at a
-/// time in ascending tap order: `fold(acc, src, tap)` gets equal-length
-/// slices with `src[i]` the cell `tap - r` away from `acc[i]`. Cells
-/// outside the image take no part — zero padding for a convolution, a
-/// clipped window for morphology — so each output cell depends only on its
-/// own position and never on `region`.
-pub(crate) fn separable_filter<T: Copy>(
+/// cells of its 1-D window in ascending tap order, `acc = fold(acc, src,
+/// tap)` with `src` the cell `tap - r` away. The column pass skips rows
+/// outside the image. The row pass reads a copy of the source row padded
+/// with `init`, so a column outside the image folds in `init`: `fold` must
+/// leave every value it can produce unchanged when given `init` as the
+/// source — adding `+0.0 × weight` for a convolution (exact, because a sum
+/// that starts at `+0.0` never becomes `−0.0`), AND with `true` or OR with
+/// `false` for morphology. Outside cells thus take no part, and each
+/// output cell depends only on its own position, never on `region` or on
+/// `B`.
+///
+/// Output cells are computed in blocks of `B` lanes, each kept in
+/// registers across its whole window: enough independent chains per block
+/// to hide `fold`'s latency, few enough to fit the registers of the
+/// instruction set the caller is compiled for.
+#[inline(always)]
+pub(crate) fn separable_filter<T: Copy, const B: usize>(
     image: &Grid<T>,
     region: Region,
     r: usize,
     init: T,
-    fold: impl Fn(&mut [T], &[T], usize),
+    fold: impl Fn(T, T, usize) -> T,
 ) -> Grid<T> {
     let (w, h) = (image.width(), image.height());
     let rows = region.y0.saturating_sub(r)..(region.y1 + r).min(h);
-    let mut horizontal = Grid::filled(region.width(), rows.len(), init);
+    // Lanes past the region's width (when it is narrower than a block) are
+    // computed and dropped.
+    let lanes = region.width().max(B);
+    // `padded[j]` is image column `region.x0 + j - r`, or `init` outside
+    // the image.
+    let mut padded = vec![init; lanes + 2 * r];
+    let cols = region.x0.saturating_sub(r)..(region.x0 + lanes + r).min(w);
+    let at = cols.start + r - region.x0;
+    let mut horizontal = Grid::filled(lanes, rows.len(), init);
     for (i, y) in rows.clone().enumerate() {
-        let (acc, src) = (horizontal.row_mut(i), image.row(y));
-        for tap in 0..=2 * r {
-            // acc[i] pairs with src[i + shift - r].
-            let shift = region.x0 + tap;
-            let lo = r.saturating_sub(shift);
-            let hi = (w + r).saturating_sub(shift).min(acc.len());
-            if lo < hi {
-                fold(&mut acc[lo..hi], &src[lo + shift - r..hi + shift - r], tap);
-            }
+        padded[at..at + cols.len()].copy_from_slice(&image.row(y)[cols.clone()]);
+        let out = horizontal.row_mut(i);
+        for x in block_starts::<B>(lanes) {
+            let acc = fold_block::<T, B>(init, 0..2 * r + 1, |t| lanes_at(&padded, x + t), &fold);
+            out[x..x + B].copy_from_slice(&acc);
         }
     }
-    let mut out = Grid::filled(region.width(), region.height(), init);
+    let plane = horizontal.as_slice();
+    let mut out = Grid::filled(lanes, region.height(), init);
     for y in region.y0..region.y1 {
-        let acc = out.row_mut(y - region.y0);
-        for tap in 0..=2 * r {
-            if let Some(sy) = (y + tap).checked_sub(r).filter(|&sy| sy < h) {
-                fold(acc, horizontal.row(sy - rows.start), tap);
-            }
+        // The taps whose source row lies in the image; tap `t` reads plane
+        // row `y + t - r - rows.start`.
+        let taps = r.saturating_sub(y)..(h + r - y).min(2 * r + 1);
+        let row = out.row_mut(y - region.y0);
+        for x in block_starts::<B>(lanes) {
+            let src = |t| lanes_at(plane, (y + t - r - rows.start) * lanes + x);
+            let acc = fold_block::<T, B>(init, taps.clone(), src, &fold);
+            // Whole blocks only: a partial copy would keep `acc` in memory.
+            row[x..x + B].copy_from_slice(&acc);
         }
     }
-    out
+    if lanes == region.width() {
+        return out;
+    }
+    let rows = out.as_slice().chunks_exact(lanes);
+    let cells = rows
+        .flat_map(|row| &row[..region.width()])
+        .copied()
+        .collect();
+    Grid::from_vec(region.width(), region.height(), cells)
+}
+
+/// Starts of the `B`-lane blocks that cover `0..lanes` (`lanes ≥ B`). The
+/// last block is moved left to end at `lanes`, overlapping the one before
+/// it, so no block is narrower than `B`.
+#[inline(always)]
+fn block_starts<const B: usize>(lanes: usize) -> impl Iterator<Item = usize> {
+    (0..lanes).step_by(B).map(move |x| x.min(lanes - B))
+}
+
+/// The `B` cells of `row` from `x` on.
+#[inline(always)]
+fn lanes_at<T, const B: usize>(row: &[T], x: usize) -> &[T; B] {
+    match row[x..].first_chunk() {
+        Some(lanes) => lanes,
+        None => unreachable!("a block ends inside its padded row"),
+    }
+}
+
+/// `B` lanes that start at `init` and fold in `src(t)` lane by lane for
+/// each tap `t` of `taps`, in ascending order.
+#[inline(always)]
+fn fold_block<'a, T: Copy + 'a, const B: usize>(
+    init: T,
+    taps: std::ops::Range<usize>,
+    src: impl Fn(usize) -> &'a [T; B],
+    fold: &impl Fn(T, T, usize) -> T,
+) -> [T; B] {
+    let mut acc = [init; B];
+    for t in taps {
+        let s = src(t);
+        for l in 0..B {
+            acc[l] = fold(acc[l], s[l], t);
+        }
+    }
+    acc
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn point_mask(side: usize) -> Grid<f32> {
         let mut g = Grid::filled(side, side, 0.0f32);
@@ -220,40 +350,149 @@ mod tests {
         g.iter().map(|v| v.to_bits()).collect()
     }
 
+    /// The per-pixel oracle every instance must reproduce exactly: each
+    /// output pixel sums its in-image taps in ascending order from 0.0,
+    /// row pass then column pass.
+    fn direct_sum(mask: &Grid<f32>, psf: &Kernel1d) -> Grid<f32> {
+        let (w, h) = (mask.width() as isize, mask.height() as isize);
+        let (r, weights) = (psf.radius() as isize, psf.weights());
+        let pass = |src: &Grid<f32>, horizontal: bool| {
+            let mut out = src.clone();
+            for y in 0..h {
+                for x in 0..w {
+                    let mut acc = 0.0f32;
+                    for d in -r..=r {
+                        let (sx, sy) = if horizontal { (x + d, y) } else { (x, y + d) };
+                        if (0..w).contains(&sx) && (0..h).contains(&sy) {
+                            acc += src[(sx as usize, sy as usize)] * weights[(d + r) as usize];
+                        }
+                    }
+                    out[(x as usize, y as usize)] = acc;
+                }
+            }
+            out
+        };
+        pass(&pass(mask, true), false)
+    }
+
     #[test]
     fn matches_per_pixel_direct_sum_bitwise() {
-        // Each output pixel sums its in-image taps in ascending order from
-        // 0.0, row pass then column pass — the per-pixel loop the shifted
-        // rows must reproduce exactly.
-        let direct = |mask: &Grid<f32>, psf: &Kernel1d| {
-            let (w, h) = (mask.width() as isize, mask.height() as isize);
-            let (r, weights) = (psf.radius() as isize, psf.weights());
-            let pass = |src: &Grid<f32>, horizontal: bool| {
-                let mut out = src.clone();
-                for y in 0..h {
-                    for x in 0..w {
-                        let mut acc = 0.0f32;
-                        for d in -r..=r {
-                            let (sx, sy) = if horizontal { (x + d, y) } else { (x, y + d) };
-                            if (0..w).contains(&sx) && (0..h).contains(&sy) {
-                                acc += src[(sx as usize, sy as usize)] * weights[(d + r) as usize];
-                            }
-                        }
-                        out[(x as usize, y as usize)] = acc;
-                    }
-                }
-                out
-            };
-            pass(&pass(mask, true), false)
-        };
         for (w, h) in [(37, 23), (9, 30), (1, 1), (64, 64)] {
             let mask = speckle(w, h);
             for sigma in [10.0, 30.0, 42.4, 90.0] {
                 let psf = Kernel1d::gaussian(sigma, 10).unwrap();
                 assert_eq!(
                     bits(&aerial_image(&mask, &psf)),
-                    bits(&direct(&mask, &psf)),
+                    bits(&direct_sum(&mask, &psf)),
                     "{w}x{h}, sigma {sigma}"
+                );
+            }
+        }
+    }
+
+    /// Every instance this CPU runs.
+    pub(crate) fn supported() -> Vec<Isa> {
+        [Isa::Baseline, Isa::Avx512]
+            .into_iter()
+            .filter(|isa| isa.available())
+            .collect()
+    }
+
+    /// Image sides 1–140, half the time one at or next to a lane or block
+    /// edge (16, 64, 80) or the raster and full-block widths (120, 128).
+    pub(crate) fn arb_side() -> impl Strategy<Value = usize> {
+        let edges = vec![1, 15, 16, 17, 63, 64, 65, 79, 80, 81, 120, 128, 129];
+        prop_oneof![1usize..141, proptest::sample::select(edges)]
+    }
+
+    /// A region of a `w × h` image: the whole image, a guard-band
+    /// interior, a single pixel, or a rectangle touching a border, from the
+    /// random `picks`.
+    pub(crate) fn region_of(w: usize, h: usize, kind: u8, picks: [usize; 4]) -> Region {
+        let span = |n: usize, a: usize, b: usize| {
+            let (a, b) = (a % n, b % n);
+            (a.min(b), a.max(b) + 1)
+        };
+        let full = Region::full(&Grid::filled(w, h, 0u8));
+        match kind {
+            0 => full,
+            1 => {
+                let guard = picks[0] % (w.min(h) / 2 + 1);
+                Region::interior(&Grid::filled(w, h, 0u8), guard).unwrap_or(full)
+            }
+            2 => {
+                let (x, y) = (picks[0] % w, picks[1] % h);
+                Region {
+                    x0: x,
+                    x1: x + 1,
+                    y0: y,
+                    y1: y + 1,
+                }
+            }
+            _ => {
+                // Pin one side of each span to a border.
+                let (x0, x1) = span(w, picks[0], picks[1]);
+                let (y0, y1) = span(h, picks[2], picks[3]);
+                let (x0, x1) = if picks[0].is_multiple_of(2) {
+                    (0, x1)
+                } else {
+                    (x0, w)
+                };
+                let (y0, y1) = if picks[2].is_multiple_of(2) {
+                    (0, y1)
+                } else {
+                    (y0, h)
+                };
+                Region { x0, x1, y0, y1 }
+            }
+        }
+    }
+
+    /// A mask mixing ±0.0, 1.0, fractions, negatives and large values
+    /// (small enough that no sum overflows to infinity).
+    fn mixed_mask(w: usize, h: usize, seed: u64) -> Grid<f32> {
+        let mut state = seed | 1;
+        let cells = (0..w * h)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let frac = (state >> 40) as f32 / (1u64 << 24) as f32;
+                match state % 8 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => 1.0,
+                    3 => frac,
+                    4 => -frac,
+                    5 => 1e30 * (frac - 0.5),
+                    _ => (state % 3) as f32,
+                }
+            })
+            .collect();
+        Grid::from_vec(w, h, cells)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn every_instance_matches_the_direct_sum_bitwise(
+            (w, h) in (arb_side(), arb_side()),
+            (kind, picks) in (0u8..4, (0usize..1000, 0usize..1000, 0usize..1000, 0usize..1000)),
+            radius in prop_oneof![1usize..6, 6usize..40, 40usize..160],
+            seed in 0u64..u64::MAX,
+        ) {
+            let mask = mixed_mask(w, h, seed);
+            // ceil(3σ) = radius at 1 nm per pixel.
+            let psf = Kernel1d::gaussian(radius as f64 / 3.0 - 1e-3, 1).unwrap();
+            let region = region_of(w, h, kind, [picks.0, picks.1, picks.2, picks.3]);
+            let full = direct_sum(&mask, &psf);
+            let expected = full.window(region.x0, region.y0, region.width(), region.height());
+            for isa in supported() {
+                prop_assert_eq!(
+                    bits(&aerial_region(isa, &mask, &psf, region)),
+                    bits(&expected),
+                    "{:?}: {}x{}, radius {}, {:?}", isa, w, h, psf.radius(), region
                 );
             }
         }
@@ -274,7 +513,7 @@ mod tests {
                 let region = Region { x0, x1, y0, y1 };
                 let crop = full.window(x0, y0, x1 - x0, y1 - y0);
                 assert_eq!(
-                    bits(&aerial_region(&mask, &psf, region)),
+                    bits(&aerial_region(Isa::detect(), &mask, &psf, region)),
                     bits(&crop),
                     "sigma {sigma}, {region:?}"
                 );

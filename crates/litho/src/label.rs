@@ -1,5 +1,6 @@
 //! End-to-end hotspot labelling of clips.
 
+use crate::aerial::Isa;
 use crate::process::{CornerGrid, CornerReport, PrintTarget};
 use crate::{aerial, Kernel1d, LithoError, ProcessCorner, ResistModel};
 use hotspot_geometry::{raster, Clip, Grid};
@@ -314,12 +315,13 @@ impl LithoSimulator {
         psfs: &[PsfGroup],
     ) -> LithoReport {
         let mut corner_reports = vec![CornerReport::default(); corners.len()];
+        let isa = Isa::detect();
         if let Some(target) = PrintTarget::new(mask, self.margin_px, self.guard_px) {
             for psf in psfs {
-                let intensity = aerial::aerial_region(mask, &psf.kernel, target.interior());
+                let intensity = aerial::aerial_region(isa, mask, &psf.kernel, target.interior());
                 for &i in &psf.corners {
                     corner_reports[i] =
-                        target.report(&intensity, &self.config.resist, corners[i].dose);
+                        target.report(isa, &intensity, &self.config.resist, corners[i].dose);
                 }
             }
         }

@@ -1,6 +1,6 @@
 //! Process-window corners and printing-failure analysis.
 
-use crate::aerial::{separable_filter, Region};
+use crate::aerial::{separable_filter, Isa, Region};
 use crate::ResistModel;
 use hotspot_geometry::Grid;
 use serde::{Deserialize, Serialize};
@@ -259,14 +259,18 @@ pub fn dilate(image: &Grid<bool>, r: usize) -> Grid<bool> {
 /// over the window, erosion the AND. The window is clipped to the image:
 /// dilation does not grow beyond real geometry, and erosion does not shrink
 /// shapes where they meet the image border.
+///
+/// Baseline code only: an AVX-512 build of the same body showed no
+/// end-to-end gain in suite generation.
 fn morph(image: &Grid<bool>, r: usize, dilate: bool, region: Region) -> Grid<bool> {
     // A window wider than the image covers all of it.
     let r = r.min(image.width().max(image.height()));
-    separable_filter(image, region, r, !dilate, |acc, src, _| {
-        for (a, &s) in acc.iter_mut().zip(src) {
-            *a = if dilate { *a | s } else { *a & s };
-        }
-    })
+    // Eighty byte lanes: a block amortises the per-tap bookkeeping.
+    if dilate {
+        separable_filter::<_, 80>(image, region, r, false, |acc, src, _| acc | src)
+    } else {
+        separable_filter::<_, 80>(image, region, r, true, |acc, src, _| acc & src)
+    }
 }
 
 /// Compares a printed image against the target geometry.
@@ -356,6 +360,7 @@ impl PrintTarget {
     /// by `resist` at `dose`.
     pub(crate) fn report(
         &self,
+        isa: Isa,
         aerial: &Grid<f32>,
         resist: &ResistModel,
         dose: f32,
@@ -365,23 +370,103 @@ impl PrintTarget {
             (self.interior.width(), self.interior.height()),
             "aerial image does not cover the interior"
         );
-        let mut report = CornerReport::default();
-        let cells = aerial
-            .iter()
-            .zip(self.must_print.iter())
-            .zip(self.may_print.iter());
-        for ((&v, &must), &may) in cells {
-            let printed = resist.prints(v, dose);
-            report.open_pixels += usize::from(must && !printed);
-            report.short_pixels += usize::from(printed && !may);
-        }
-        report
+        let (must, may) = (self.must_print.as_slice(), self.may_print.as_slice());
+        count_failures(isa, aerial.as_slice(), must, may, resist, dose)
     }
+}
+
+/// Pixels per summing of [`count_lanes`]' counters: a multiple of every
+/// lane count, and few enough that no 32-bit lane counter can overflow.
+const COUNT_PART: usize = 1 << 20;
+
+/// Opens (`must` pixels that do not print) and shorts (printed pixels not
+/// `may`) of `intensity` developed by `resist` at `dose`, pixel `i` being
+/// `intensity[i]`, `must[i]` and `may[i]`.
+fn count_failures(
+    isa: Isa,
+    intensity: &[f32],
+    must: &[bool],
+    may: &[bool],
+    resist: &ResistModel,
+    dose: f32,
+) -> CornerReport {
+    assert!(
+        must.len() == intensity.len() && may.len() == intensity.len(),
+        "target and aerial pixel counts differ"
+    );
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 if isa.available() => {
+            // SAFETY: the guard has just checked that the CPU has the
+            // features the instance is compiled for.
+            unsafe { count_avx512(intensity, must, may, resist, dose) }
+        }
+        _ => count_lanes::<16>(intensity, must, may, resist, dose),
+    }
+}
+
+/// The AVX-512 instance of [`count_failures`]; call it only where
+/// [`Isa::Avx512`] is [available](Isa::available).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw")]
+fn count_avx512(
+    intensity: &[f32],
+    must: &[bool],
+    may: &[bool],
+    resist: &ResistModel,
+    dose: f32,
+) -> CornerReport {
+    count_lanes::<64>(intensity, must, may, resist, dose)
+}
+
+/// The body of every [`count_failures`] instance: `L` pixels side by side
+/// (one vector of `bool` bytes), each developed as [`ResistModel::prints`]
+/// does, into `L` lane counters that are summed once per part of
+/// [`COUNT_PART`] pixels. A part's remainder runs one pixel at a time into
+/// lane 0.
+#[inline(always)]
+fn count_lanes<const L: usize>(
+    intensity: &[f32],
+    must: &[bool],
+    may: &[bool],
+    resist: &ResistModel,
+    dose: f32,
+) -> CornerReport {
+    let mut report = CornerReport::default();
+    for ((v, must), may) in intensity
+        .chunks(COUNT_PART)
+        .zip(must.chunks(COUNT_PART))
+        .zip(may.chunks(COUNT_PART))
+    {
+        let (mut open, mut short) = ([0u32; L], [0u32; L]);
+        let lanes = v
+            .chunks_exact(L)
+            .zip(must.chunks_exact(L))
+            .zip(may.chunks_exact(L));
+        for ((v, must), may) in lanes {
+            for l in 0..L {
+                let printed = resist.prints(v[l], dose);
+                open[l] += u32::from(must[l] & !printed);
+                short[l] += u32::from(printed & !may[l]);
+            }
+        }
+        let rest = v.len() - v.len() % L;
+        for ((&v, &must), &may) in v[rest..].iter().zip(&must[rest..]).zip(&may[rest..]) {
+            let printed = resist.prints(v, dose);
+            open[0] += u32::from(must & !printed);
+            short[0] += u32::from(printed & !may);
+        }
+        report.open_pixels += open.iter().map(|&n| n as usize).sum::<usize>();
+        report.short_pixels += short.iter().map(|&n| n as usize).sum::<usize>();
+    }
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aerial::tests::{arb_side, region_of, supported};
+    use proptest::prelude::*;
 
     fn block(side: usize, x0: usize, y0: usize, x1: usize, y1: usize) -> Grid<bool> {
         let mut g = Grid::filled(side, side, false);
@@ -448,34 +533,154 @@ mod tests {
         Grid::from_vec(w, h, cells)
     }
 
+    /// Each output pixel is the AND (erosion) / OR (dilation) of the image
+    /// pixels within Chebyshev distance r; pixels outside the image take no
+    /// part.
+    fn brute(g: &Grid<bool>, r: usize, dilate: bool) -> Grid<bool> {
+        let (w, h) = (g.width(), g.height());
+        let mut out = g.clone();
+        for y in 0..h {
+            for x in 0..w {
+                let rows = y.saturating_sub(r)..=y.saturating_add(r).min(h - 1);
+                let cols = x.saturating_sub(r)..=x.saturating_add(r).min(w - 1);
+                let mut window = rows.flat_map(|sy| cols.clone().map(move |sx| g[(sx, sy)]));
+                out[(x, y)] = if dilate {
+                    window.any(|v| v)
+                } else {
+                    window.all(|v| v)
+                };
+            }
+        }
+        out
+    }
+
     #[test]
     fn morphology_is_the_clipped_square_window() {
-        // Each output pixel is the AND (erosion) / OR (dilation) of the
-        // image pixels within Chebyshev distance r; pixels outside the
-        // image take no part.
-        let brute = |g: &Grid<bool>, r: usize, dilate: bool| {
-            let (w, h) = (g.width(), g.height());
-            let mut out = g.clone();
-            for y in 0..h {
-                for x in 0..w {
-                    let rows = y.saturating_sub(r)..=y.saturating_add(r).min(h - 1);
-                    let cols = x.saturating_sub(r)..=x.saturating_add(r).min(w - 1);
-                    let mut window = rows.flat_map(|sy| cols.clone().map(move |sx| g[(sx, sy)]));
-                    out[(x, y)] = if dilate {
-                        window.any(|v| v)
-                    } else {
-                        window.all(|v| v)
-                    };
-                }
-            }
-            out
-        };
         for (w, h) in [(17, 11), (1, 9), (6, 1), (12, 12)] {
             let g = speckle(w, h);
             for r in [0, 1, 2, 4, 20, usize::MAX] {
                 assert_eq!(erode(&g, r), brute(&g, r, false), "{w}x{h} erode r={r}");
                 assert_eq!(dilate(&g, r), brute(&g, r, true), "{w}x{h} dilate r={r}");
             }
+        }
+    }
+
+    fn crop(g: &Grid<bool>, i: Region) -> Grid<bool> {
+        let rows = (i.y0..i.y1).flat_map(|y| g.row(y)[i.x0..i.x1].to_vec());
+        Grid::from_vec(i.width(), i.height(), rows.collect())
+    }
+
+    /// The per-pixel count every instance must reproduce.
+    fn scalar_counts(
+        intensity: &[f32],
+        must: &[bool],
+        may: &[bool],
+        resist: &ResistModel,
+        dose: f32,
+    ) -> CornerReport {
+        let mut report = CornerReport::default();
+        for ((&v, &must), &may) in intensity.iter().zip(must).zip(may) {
+            let printed = resist.prints(v, dose);
+            report.open_pixels += usize::from(must && !printed);
+            report.short_pixels += usize::from(printed && !may);
+        }
+        report
+    }
+
+    /// `n` intensities around the print threshold, with exact threshold
+    /// crossings, ±0.0 and negatives, and `n` must/may pairs.
+    fn count_case(
+        n: usize,
+        seed: u64,
+        resist: &ResistModel,
+        dose: f32,
+    ) -> (Vec<f32>, Vec<bool>, Vec<bool>) {
+        let mut state = seed | 1;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let on_threshold = resist.threshold() / dose;
+        let intensity = (0..n)
+            .map(|_| {
+                let s = next();
+                let frac = (s >> 40) as f32 / (1u64 << 24) as f32;
+                match s % 6 {
+                    0 => on_threshold,
+                    1 => f32::from_bits(on_threshold.to_bits() - 1),
+                    2 => [0.0, -0.0, -frac][(s >> 3) as usize % 3],
+                    _ => frac,
+                }
+            })
+            .collect();
+        let must = (0..n).map(|_| next() % 3 == 0).collect();
+        let may = (0..n).map(|_| next() % 3 != 0).collect();
+        (intensity, must, may)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn morphology_over_any_region_is_the_clipped_square_window(
+            (w, h) in (arb_side(), arb_side()),
+            (kind, picks) in (0u8..4, (0usize..1000, 0usize..1000, 0usize..1000, 0usize..1000)),
+            r in 0usize..6,
+            density in 1u64..8,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut state = seed | 1;
+            let cells = (0..w * h).map(|_| {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                (state >> 61) < density
+            });
+            let g = Grid::from_vec(w, h, cells.collect());
+            let region = region_of(w, h, kind, [picks.0, picks.1, picks.2, picks.3]);
+            for dilate in [false, true] {
+                prop_assert_eq!(
+                    morph(&g, r, dilate, region),
+                    crop(&brute(&g, r, dilate), region),
+                    "{}x{}, r {}, dilate {}, {:?}", w, h, r, dilate, region
+                );
+            }
+        }
+
+        #[test]
+        fn every_count_instance_matches_the_scalar_loop(
+            n in prop_oneof![0usize..70, 6390usize..6410, 0usize..20_000],
+            threshold in 0.2f32..0.8,
+            dose in 0.8f32..1.2,
+            seed in 0u64..u64::MAX,
+        ) {
+            let resist = ResistModel::new(threshold).unwrap();
+            let (intensity, must, may) = count_case(n, seed, &resist, dose);
+            let expected = scalar_counts(&intensity, &must, &may, &resist, dose);
+            for isa in supported() {
+                prop_assert_eq!(
+                    count_failures(isa, &intensity, &must, &may, &resist, dose),
+                    expected,
+                    "{:?}: {} pixels", isa, n
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn counts_span_lane_counter_parts() {
+        // Two parts: the lane counters are summed twice.
+        let resist = ResistModel::default();
+        let n = COUNT_PART + 37;
+        let (intensity, must, may) = count_case(n, 5, &resist, 1.05);
+        let expected = scalar_counts(&intensity, &must, &may, &resist, 1.05);
+        assert!(expected.open_pixels > 65_536 && expected.short_pixels > 65_536);
+        for isa in supported() {
+            assert_eq!(
+                count_failures(isa, &intensity, &must, &may, &resist, 1.05),
+                expected,
+                "{isa:?}"
+            );
         }
     }
 
@@ -487,12 +692,8 @@ mod tests {
             for guard in [0, 2, 7] {
                 let t = PrintTarget::new(&mask, margin, guard).unwrap();
                 let i = t.interior();
-                let crop = |g: &Grid<bool>| {
-                    let rows = (i.y0..i.y1).flat_map(|y| g.row(y)[i.x0..i.x1].to_vec());
-                    Grid::from_vec(i.width(), i.height(), rows.collect())
-                };
-                assert_eq!(t.must_print, crop(&erode(&target, margin)));
-                assert_eq!(t.may_print, crop(&dilate(&target, margin)));
+                assert_eq!(t.must_print, crop(&erode(&target, margin), i));
+                assert_eq!(t.may_print, crop(&dilate(&target, margin), i));
             }
         }
         assert!(PrintTarget::new(&mask, 1, 8).is_none(), "2 x 8 >= 15 rows");
