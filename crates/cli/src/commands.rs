@@ -862,6 +862,7 @@ pub fn dispatch(command: &str, args: &ExperimentArgs) -> Result<String, CliError
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn write_temp(name: &str, contents: &str) -> std::path::PathBuf {
         let path = std::env::temp_dir().join(format!("hotspot-cli-test-{name}"));
@@ -934,5 +935,54 @@ mod tests {
         let err = load_labels(path.to_str().unwrap(), 5).unwrap_err();
         assert!(err.to_string().contains("3 labels for 5 clips"));
         fs::remove_file(path).unwrap();
+    }
+
+    /// Label-file lines: the two labels with and without padding, blank
+    /// lines, and tokens that are not a label.
+    fn label_line() -> impl Strategy<Value = &'static str> {
+        proptest::sample::select(vec![
+            "0", "1", " 1 ", "\t0", "0\r", "", "  ", "2", "-1", "01", "true", "0 1", "1.0", "#",
+        ])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `load_labels` never panics: it returns the labels, names the
+        /// first bad line (1-based) and its token, or reports a count
+        /// mismatch.
+        #[test]
+        fn load_labels_returns_labels_or_names_the_bad_line(
+            lines in proptest::collection::vec(label_line(), 0..12),
+            exact in proptest::bool::ANY,
+            other_count in 0usize..8,
+        ) {
+            let labels: Vec<bool> = lines
+                .iter()
+                .filter_map(|l| match l.trim() {
+                    "0" => Some(false),
+                    "1" => Some(true),
+                    _ => None,
+                })
+                .collect();
+            let first_bad = lines.iter().position(|l| !matches!(l.trim(), "" | "0" | "1"));
+            let expected = if exact { labels.len() } else { other_count };
+            let path = write_temp(&format!("labels-prop-{}", std::process::id()), &lines.join("\n"));
+            let got = load_labels(path.to_str().unwrap(), expected);
+            fs::remove_file(&path).unwrap();
+            match (first_bad, got) {
+                (Some(i), Err(e)) => {
+                    let msg = e.to_string();
+                    prop_assert!(msg.contains(&format!(":{}:", i + 1)), "{msg}");
+                    prop_assert!(msg.contains(&format!("'{}'", lines[i].trim())), "{msg}");
+                }
+                (None, Ok(got)) => prop_assert_eq!(got, labels),
+                (None, Err(e)) => prop_assert_eq!(
+                    e.to_string(),
+                    CliError::Data(format!("{} labels for {expected} clips", labels.len())).to_string()
+                ),
+                (_, got) => prop_assert!(false, "{lines:?} -> {got:?}"),
+            }
+        }
     }
 }

@@ -1621,6 +1621,19 @@ mod tests {
         assert_eq!(b.is_simd(), b.name() != "scalar");
     }
 
+    /// Under `HOTSPOT_SIMD=scalar` (or `avx2`, `avx512`) every kernel
+    /// dispatches through exactly that backend; unset or `auto`, this
+    /// checks nothing.
+    #[test]
+    fn a_named_override_selects_that_backend() {
+        let named = std::env::var("HOTSPOT_SIMD")
+            .ok()
+            .and_then(|raw| parse_override(&raw));
+        if let Some(backend) = named {
+            assert_eq!(kernel_backend(), backend);
+        }
+    }
+
     #[test]
     fn override_parser_accepts_known_values() {
         assert_eq!(parse_override(""), None);

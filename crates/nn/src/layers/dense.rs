@@ -56,16 +56,22 @@ impl Dense {
     pub fn parameter_count(&self) -> usize {
         self.weights.len() + self.bias.len()
     }
-}
 
-impl Layer for Dense {
-    fn out_shape(&self, in_shape: &[usize]) -> Vec<usize> {
+    /// Panics unless `in_shape` holds `in_features` values. Allocates
+    /// nothing, so the forward passes can check every call.
+    fn check_input(&self, in_shape: &[usize]) {
         let len: usize = in_shape.iter().product();
         assert_eq!(
             len, self.in_features,
             "dense expected {} inputs, got {:?}",
             self.in_features, in_shape
         );
+    }
+}
+
+impl Layer for Dense {
+    fn out_shape(&self, in_shape: &[usize]) -> Vec<usize> {
+        self.check_input(in_shape);
         vec![self.out_features]
     }
 
@@ -78,7 +84,7 @@ impl Layer for Dense {
         _idx: &mut [usize],
         epilogue: Option<Epilogue>,
     ) {
-        let _ = self.out_shape(in_shape);
+        self.check_input(in_shape);
         assert_eq!(y.len(), self.out_features, "dense output length");
         // y = b, then y += W·x (an out×1 gemm against x as a 1×in Bᵀ).
         y.copy_from_slice(&self.bias);
@@ -103,7 +109,7 @@ impl Layer for Dense {
         _idx: &mut [usize],
         epilogue: Option<Epilogue>,
     ) {
-        let _ = self.out_shape(in_shape);
+        self.check_input(in_shape);
         assert_eq!(x.len(), self.in_features * batch, "dense batched input");
         assert_eq!(y.len(), self.out_features * batch, "dense batched output");
         // Seed every sample's output with the bias, then one batched GEMM

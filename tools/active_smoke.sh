@@ -2,8 +2,8 @@
 # Active-learning smoke test against the real binaries: train with a tiny
 # unlabeled pool, assert the labeler was invoked for a strict subset of
 # the pool, resume from the final checkpoint without re-invoking the
-# oracle, and run the `active` bench at a tiny budget so CI archives a
-# fresh results/BENCH_active.json.
+# oracle, and run the `active` bench at a tiny budget into the work
+# directory and validate its report.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -56,10 +56,10 @@ echo "OK: checkpoint round-trips without re-labelling"
 
 echo "running the label-efficiency bench at a tiny budget..."
 ./target/release/active --scale 0.002 --steps 60 --k 4 --rounds 1 \
-    --pool 16 --active-rounds 2 --active-batch 3 > /dev/null
+    --pool 16 --active-rounds 2 --active-batch 3 --out "$work" > /dev/null
 
-echo "validating results/BENCH_active.json..."
-python3 - results/BENCH_active.json <<'EOF'
+echo "validating BENCH_active.json..."
+python3 - "$work/BENCH_active.json" <<'EOF'
 import json, sys
 
 with open(sys.argv[1]) as f:

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full-layout scan smoke test against the real binaries: generate a tiny
 # benchmark, train a small model, synthesise a layout, scan it with a JSON
-# report, and validate the report's schema. Also runs the `scan` bench at a
-# tiny budget so CI archives a fresh results/BENCH_scan.json.
+# report, and validate the report's schema. Also checks that the banded
+# scan is deterministic across thread counts: a scan at --threads 1 and at
+# --threads 2 yields identical windows, regions, cache and positives.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -130,9 +131,29 @@ print(f"cascade report OK: {cascade['cleared']} cleared, "
       f"{report['throughput']['cnn_evals_per_window']:.2f} CNN evals/window")
 EOF
 
-echo "running the scan bench at a tiny budget..."
-cargo run --release -p hotspot-bench --bin scan -- \
-  --scale 0.004 --steps 40 --tiles 3 --reps 1 >/dev/null
-test -s results/BENCH_scan.json || { echo "bench wrote no BENCH_scan.json" >&2; exit 1; }
+echo "checking threaded-scan determinism (1 vs 2 threads)..."
+"$BIN" scan --layout "$work/chip.clips" --model "$work/m.hsnn" \
+       --stride 600 --threads 1 --report "$work/scan_t1.json"
+"$BIN" scan --layout "$work/chip.clips" --model "$work/m.hsnn" \
+       --stride 600 --threads 2 --report "$work/scan_t2.json"
+python3 - "$work/scan_t1.json" "$work/scan_t2.json" <<'EOF'
+import json, sys
+
+with open(sys.argv[1]) as f:
+    serial = json.load(f)
+with open(sys.argv[2]) as f:
+    tiled = json.load(f)
+
+assert serial["execution"]["threads"] == 1, \
+    f"--threads 1 resolved to {serial['execution']['threads']}"
+assert tiled["execution"]["threads"] == 2, \
+    f"--threads 2 resolved to {tiled['execution']['threads']}"
+for key in ("windows", "regions", "cache", "positives"):
+    assert serial[key] == tiled[key], \
+        f"threaded scan diverged from serial on report.{key}"
+print(f"threaded scan OK: {len(serial['windows'])} windows identical "
+      f"across 1 and 2 threads "
+      f"({serial['positives']} flagged, {len(serial['regions'])} regions)")
+EOF
 
 echo "scan smoke passed."

@@ -3,8 +3,8 @@
 # golden-mini corner suite twice and assert bit-identical manifests equal
 # to the committed crates/datagen/tests/golden/mini.manifest,
 # validate the manifest and per-corner label files, train/eval on the
-# generated data, and run the `suites` bench at a tiny budget so CI
-# archives a fresh results/BENCH_suites.json.
+# generated data, and run the `suites` bench at a tiny budget into the
+# work directory and validate its report.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -93,10 +93,10 @@ echo "training and evaluating on the generated suite..."
 
 echo "running the suite-matrix bench at a tiny budget..."
 ./target/release/suites --scale 0.004 --steps 60 --k 4 --rounds 1 \
-    --probes 8 --suites topo > /dev/null
+    --probes 8 --suites topo --out "$work" > /dev/null
 
-echo "validating results/BENCH_suites.json..."
-python3 - results/BENCH_suites.json <<'EOF'
+echo "validating BENCH_suites.json..."
+python3 - "$work/BENCH_suites.json" <<'EOF'
 import json, sys
 
 with open(sys.argv[1]) as f:
