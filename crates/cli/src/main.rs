@@ -1,6 +1,6 @@
 //! The `hotspot` command-line entry point; see [`hotspot_cli::commands`].
 
-use hotspot_cli::commands;
+use hotspot_cli::{commands, CliError};
 
 fn main() {
     let mut argv = std::env::args().skip(1);
@@ -15,7 +15,12 @@ fn main() {
         Ok(output) => print!("{output}"),
         Err(e) => {
             eprintln!("error: {e}");
-            eprint!("{}", commands::USAGE);
+            // The usage text helps with a bad command line only; after a
+            // file, data or detector error it would bury the one line
+            // that says what went wrong.
+            if matches!(e, CliError::Usage(_)) {
+                eprint!("{}", commands::USAGE);
+            }
             std::process::exit(1);
         }
     }

@@ -161,6 +161,38 @@ fn malformed_command_lines_are_usage_errors() {
     }
 }
 
+/// Runs the `hotspot` binary and returns its exit code and stderr.
+fn run_binary(args: &[&str]) -> (Option<i32>, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_hotspot"))
+        .args(args)
+        .output()
+        .expect("run the hotspot binary");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn only_usage_errors_print_the_usage_text() {
+    let (code, stderr) = run_binary(&["frobnicate"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.starts_with("error: usage error: unknown command 'frobnicate'\n"));
+    assert!(stderr.contains(commands::USAGE), "{stderr}");
+
+    // A clip-file error prints its one line and exits as before.
+    let dir = tmp_dir("usage");
+    let clips = dir.join("bad.clips");
+    std::fs::write(&clips, "clip 0 0 1200 1200\nend of record 42\n").unwrap();
+    let (code, stderr) = run_binary(&["label", "--clips", clips.to_str().unwrap()]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert_eq!(
+        stderr,
+        "error: clip file error: parse error at line 2: 'end' takes no arguments, got 3\n"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn label_count_mismatch_rejected() {
     let dir = tmp_dir("mismatch");

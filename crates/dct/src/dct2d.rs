@@ -203,8 +203,8 @@ impl Dct2d {
     }
 
     /// Reference O(B⁴) forward transform straight from the paper's Eq. (1)
-    /// (orthonormal scaling). Used by tests and the `dct` criterion bench to
-    /// validate and measure the separable fast path.
+    /// (orthonormal scaling). Tests use it to validate the separable fast
+    /// path.
     pub fn forward_naive(&self, block: &Grid<f32>) -> Result<Grid<f32>, DctError> {
         self.check(block)?;
         let b = self.size;

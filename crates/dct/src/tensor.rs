@@ -152,7 +152,8 @@ const ROWS: usize = 16;
 /// pass. Both are exact: every product with such a row is `±0`, a sum
 /// that starts at `+0.0` is never `-0.0`, and adding `±0` to it changes
 /// nothing. (The reference also skips zero basis weights; the basis has
-/// none.)
+/// none.) A row with the bits of the previous nonzero row takes that row's
+/// row-pass sums, which are the same products added in the same order.
 #[derive(Debug, Clone)]
 pub struct BlockDctPlan {
     block_size: usize,
@@ -315,6 +316,14 @@ impl BlockDctPlan {
             let row = &pixels[r * stride..r * stride + b];
             row.iter().fold(0, |bits, &p| bits | (p.to_bits() << 1)) == 0
         };
+        // Whether rows `r` and `q` hold the same bits: an OR of XORs,
+        // branch-free like `blank`.
+        let same = |r: usize, q: usize| {
+            let row = &pixels[r * stride..r * stride + b];
+            let other = &pixels[q * stride..q * stride + b];
+            let diff = row.iter().zip(other);
+            diff.fold(0, |bits, (&p, &o)| bits | (p.to_bits() ^ o.to_bits())) == 0
+        };
         if (0..b).all(blank) {
             for c in 0..self.coefficients {
                 out[c * out_stride] = 0.0 * scale;
@@ -337,14 +346,21 @@ impl BlockDctPlan {
                     if blank(r) {
                         continue;
                     }
-                    let row = &pixels[r * stride..r * stride + b];
-                    let mut sums = [0.0f32; LANES];
-                    for (&p, weights) in row.iter().zip(&pass.rows) {
-                        for l in 0..LANES {
-                            sums[l] += p * weights[l];
+                    // A row with the bits of the previous live row has its
+                    // sums.
+                    t[count] = match count.checked_sub(1) {
+                        Some(prev) if same(r, live[prev]) => t[prev],
+                        _ => {
+                            let row = &pixels[r * stride..r * stride + b];
+                            let mut sums = [0.0f32; LANES];
+                            for (&p, weights) in row.iter().zip(&pass.rows) {
+                                for l in 0..LANES {
+                                    sums[l] += p * weights[l];
+                                }
+                            }
+                            sums
                         }
-                    }
-                    t[count] = sums;
+                    };
                     live[count] = r;
                     count += 1;
                 }

@@ -47,6 +47,94 @@ fn arb_mixed_image() -> impl Strategy<Value = (usize, usize, Grid<f32>)> {
     })
 }
 
+/// An `n·B × n·B` image whose rows repeat: each row is blank or one of up
+/// to three row patterns, drawn in runs, so a block sees equal rows next to
+/// each other and separated by blank rows. The patterns after the first
+/// differ from it in one or two pixels, so a row may equal the row two live
+/// rows above but not the one just above.
+fn arb_repeated_rows() -> impl Strategy<Value = (usize, usize, Grid<f32>)> {
+    (1usize..=16, 1usize..=4).prop_flat_map(|(b, n)| {
+        let side = n * b;
+        (
+            Just(b),
+            Just(n),
+            proptest::collection::vec((0u8..7, 0.0f32..1.0), side),
+            proptest::collection::vec((0usize..side, 0u8..3), 4),
+            proptest::collection::vec((0u8..5, 1usize..5), side),
+        )
+            .prop_map(move |(b, n, base, edits, runs)| {
+                let value = |(kind, frac): (u8, f32)| match kind {
+                    0 | 1 => 0.0,
+                    2 => -0.0,
+                    3 => 1.0,
+                    4 => frac,
+                    _ => -4.0 * frac,
+                };
+                let first: Vec<f32> = base.into_iter().map(value).collect();
+                let mut patterns = vec![first.clone(); 3];
+                for (i, &(x, v)) in edits.iter().enumerate() {
+                    patterns[1 + i % 2][x] = [0.5, -1.0, 0.0][usize::from(v)];
+                }
+                let mut values = Vec::with_capacity(side * side);
+                for (pick, len) in runs {
+                    for _ in 0..len {
+                        match pick {
+                            0 | 1 => values.extend(std::iter::repeat_n(0.0, side)),
+                            p => values.extend_from_slice(&patterns[usize::from(p) - 2]),
+                        }
+                    }
+                }
+                values.truncate(side * side);
+                values.resize(side * side, 0.0);
+                (b, n, Grid::from_vec(side, side, values))
+            })
+    })
+}
+
+/// Checks every block of `img` against crop → full `Dct2d::forward` →
+/// zig-zag order, for every `k`, through `extract_feature_tensor` and
+/// `coefficients_for`, bit for bit.
+fn assert_truncation_of_full_transform(b: usize, n: usize, img: &Grid<f32>) {
+    let full = Dct2d::new(b).unwrap();
+    let order = zigzag_indices(b);
+    let mut reference = Vec::new();
+    for j in 0..n {
+        for i in 0..n {
+            let coeffs = full.forward(&img.window(i * b, j * b, b, b)).unwrap();
+            reference.push(
+                order
+                    .iter()
+                    .map(|&(x, y)| coeffs[(x, y)])
+                    .collect::<Vec<_>>(),
+            );
+        }
+    }
+    for k in 1..=b * b {
+        let tensor = extract_feature_tensor(img, &FeatureTensorSpec::new(n, k).unwrap()).unwrap();
+        let plan = BlockDctPlan::new(b, k).unwrap();
+        for j in 0..n {
+            for i in 0..n {
+                let want = &reference[j * n + i][..k];
+                let block = plan
+                    .coefficients_for(&img.window(i * b, j * b, b, b))
+                    .unwrap();
+                for c in 0..k {
+                    assert_eq!(
+                        block[c].to_bits(),
+                        want[c].to_bits(),
+                        "block ({i}, {j}) c {c}"
+                    );
+                    assert_eq!(
+                        tensor.coefficient(i, j, c).to_bits(),
+                        want[c].to_bits(),
+                        "tensor ({i}, {j}) c {c}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -156,30 +244,13 @@ proptest! {
     fn truncated_kernel_is_bit_identical_to_full_transform(
         (b, n, img) in arb_mixed_image()
     ) {
-        // Reference: crop → full `Dct2d::forward` → zig-zag order.
-        let full = Dct2d::new(b).unwrap();
-        let order = zigzag_indices(b);
-        let mut reference = Vec::new();
-        for j in 0..n {
-            for i in 0..n {
-                let coeffs = full.forward(&img.window(i * b, j * b, b, b)).unwrap();
-                reference.push(order.iter().map(|&(x, y)| coeffs[(x, y)]).collect::<Vec<_>>());
-            }
-        }
-        for k in 1..=b * b {
-            let tensor = extract_feature_tensor(&img, &FeatureTensorSpec::new(n, k).unwrap())
-                .unwrap();
-            let plan = BlockDctPlan::new(b, k).unwrap();
-            for j in 0..n {
-                for i in 0..n {
-                    let want = &reference[j * n + i][..k];
-                    let block = plan.coefficients_for(&img.window(i * b, j * b, b, b)).unwrap();
-                    for c in 0..k {
-                        prop_assert_eq!(block[c].to_bits(), want[c].to_bits());
-                        prop_assert_eq!(tensor.coefficient(i, j, c).to_bits(), want[c].to_bits());
-                    }
-                }
-            }
-        }
+        assert_truncation_of_full_transform(b, n, &img);
+    }
+
+    #[test]
+    fn repeated_rows_keep_the_full_transform_bits(
+        (b, n, img) in arb_repeated_rows()
+    ) {
+        assert_truncation_of_full_transform(b, n, &img);
     }
 }

@@ -34,9 +34,9 @@ impl<T: Clone> Grid<T> {
     ///
     /// Panics if `width * height` overflows `usize`.
     pub fn filled(width: usize, height: usize, fill: T) -> Self {
-        let cells = width
-            .checked_mul(height)
-            .expect("grid dimensions overflow usize");
+        let Some(cells) = width.checked_mul(height) else {
+            panic!("grid dimensions overflow usize");
+        };
         Grid {
             width,
             height,

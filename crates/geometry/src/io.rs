@@ -32,8 +32,13 @@ pub enum ClipIoError {
         /// What went wrong.
         reason: String,
     },
-    /// Geometry validation failed (degenerate rect, etc.).
-    Geometry(GeometryError),
+    /// A `clip` or `rect` line has degenerate coordinates (`lo >= hi`).
+    Geometry {
+        /// 1-based line number.
+        line: usize,
+        /// Why the rectangle is invalid.
+        source: GeometryError,
+    },
 }
 
 impl fmt::Display for ClipIoError {
@@ -43,7 +48,9 @@ impl fmt::Display for ClipIoError {
             ClipIoError::Parse { line, reason } => {
                 write!(f, "parse error at line {line}: {reason}")
             }
-            ClipIoError::Geometry(e) => write!(f, "invalid geometry: {e}"),
+            ClipIoError::Geometry { line, source } => {
+                write!(f, "invalid geometry at line {line}: {source}")
+            }
         }
     }
 }
@@ -52,7 +59,7 @@ impl Error for ClipIoError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             ClipIoError::Io(e) => Some(e),
-            ClipIoError::Geometry(e) => Some(e),
+            ClipIoError::Geometry { source, .. } => Some(source),
             ClipIoError::Parse { .. } => None,
         }
     }
@@ -61,12 +68,6 @@ impl Error for ClipIoError {
 impl From<std::io::Error> for ClipIoError {
     fn from(e: std::io::Error) -> Self {
         ClipIoError::Io(e)
-    }
-}
-
-impl From<GeometryError> for ClipIoError {
-    fn from(e: GeometryError) -> Self {
-        ClipIoError::Geometry(e)
     }
 }
 
@@ -127,21 +128,25 @@ where
 ///
 /// # Errors
 ///
-/// Returns [`ClipIoError::Parse`] on malformed lines (unknown keyword,
-/// wrong arity, `rect` outside a record, unterminated record) and
-/// [`ClipIoError::Geometry`] on degenerate coordinates.
+/// Every error names the 1-based line it is about:
+///
+/// - [`ClipIoError::Parse`] on a malformed line (unknown keyword, wrong
+///   arity, `rect` outside a record, `end` with arguments), or at its
+///   `clip` line for a record the input leaves unterminated;
+/// - [`ClipIoError::Geometry`] on a `clip` or `rect` with degenerate
+///   coordinates.
 pub fn read_clips<R: BufRead>(reader: R) -> Result<Vec<Clip>, ClipIoError> {
     let mut clips = Vec::new();
-    let mut current: Option<Clip> = None;
+    // The open record and the line of its `clip`.
+    let mut current: Option<(Clip, usize)> = None;
     for (idx, line) in reader.lines().enumerate() {
         let line = line?;
         let lineno = idx + 1;
-        let trimmed = line.split('#').next().unwrap_or("").trim();
-        if trimmed.is_empty() {
+        let mut parts = line.split('#').next().unwrap_or("").split_whitespace();
+        // A blank or comment-only line has no keyword.
+        let Some(keyword) = parts.next() else {
             continue;
-        }
-        let mut parts = trimmed.split_whitespace();
-        let keyword = parts.next().expect("non-empty line has a token");
+        };
         let args: Vec<&str> = parts.collect();
         match keyword {
             "clip" => {
@@ -151,19 +156,24 @@ pub fn read_clips<R: BufRead>(reader: R) -> Result<Vec<Clip>, ClipIoError> {
                         reason: "nested 'clip' before 'end'".into(),
                     });
                 }
-                let c = parse_coords(&args, lineno)?;
-                current = Some(Clip::new(Rect::new(c[0], c[1], c[2], c[3])?));
+                let window = parse_rect(&args, lineno)?;
+                current = Some((Clip::new(window), lineno));
             }
             "rect" => {
-                let clip = current.as_mut().ok_or_else(|| ClipIoError::Parse {
+                let (clip, _) = current.as_mut().ok_or_else(|| ClipIoError::Parse {
                     line: lineno,
                     reason: "'rect' outside a clip record".into(),
                 })?;
-                let c = parse_coords(&args, lineno)?;
-                clip.push(Rect::new(c[0], c[1], c[2], c[3])?);
+                clip.push(parse_rect(&args, lineno)?);
             }
             "end" => {
-                let clip = current.take().ok_or_else(|| ClipIoError::Parse {
+                if !args.is_empty() {
+                    return Err(ClipIoError::Parse {
+                        line: lineno,
+                        reason: format!("'end' takes no arguments, got {}", args.len()),
+                    });
+                }
+                let (clip, _) = current.take().ok_or_else(|| ClipIoError::Parse {
                     line: lineno,
                     reason: "'end' without a clip record".into(),
                 })?;
@@ -177,13 +187,22 @@ pub fn read_clips<R: BufRead>(reader: R) -> Result<Vec<Clip>, ClipIoError> {
             }
         }
     }
-    if current.is_some() {
+    if let Some((_, line)) = current {
         return Err(ClipIoError::Parse {
-            line: 0,
+            line,
             reason: "unterminated clip record at end of input".into(),
         });
     }
     Ok(clips)
+}
+
+/// The rectangle of a `clip` or `rect` line's four coordinates.
+fn parse_rect(args: &[&str], lineno: usize) -> Result<Rect, ClipIoError> {
+    let [x0, y0, x1, y1] = parse_coords(args, lineno)?;
+    Rect::new(x0, y0, x1, y1).map_err(|source| ClipIoError::Geometry {
+        line: lineno,
+        source,
+    })
 }
 
 fn parse_coords(args: &[&str], lineno: usize) -> Result<[i64; 4], ClipIoError> {
@@ -268,21 +287,48 @@ mod tests {
             read_clips("end\n".as_bytes()),
             Err(ClipIoError::Parse { .. })
         ));
-        // Unterminated record.
-        assert!(matches!(
-            read_clips("clip 0 0 10 10\nrect 0 0 5 5\n".as_bytes()),
-            Err(ClipIoError::Parse { line: 0, .. })
-        ));
         // Nested clip.
         assert!(matches!(
             read_clips("clip 0 0 10 10\nclip 0 0 10 10\n".as_bytes()),
             Err(ClipIoError::Parse { line: 2, .. })
         ));
-        // Degenerate rect surfaces as a geometry error.
-        assert!(matches!(
-            read_clips("clip 0 0 10 10\nrect 5 5 5 8\nend\n".as_bytes()),
-            Err(ClipIoError::Geometry(_))
-        ));
+    }
+
+    #[test]
+    fn an_unterminated_record_is_reported_at_its_clip_line() {
+        let text = "clip 0 0 10 10\nend\n# next\nclip 0 0 10 10\nrect 0 0 5 5\n\n";
+        let err = read_clips(text.as_bytes()).unwrap_err();
+        assert!(matches!(err, ClipIoError::Parse { line: 4, .. }), "{err:?}");
+        assert!(err.to_string().contains("line 4:"), "{err}");
+    }
+
+    #[test]
+    fn a_degenerate_clip_or_rect_names_its_line() {
+        for (text, at) in [
+            ("clip 0 0 10 10\nrect 5 5 5 8\nend\n", 2),
+            ("\nclip 0 0 10 10\nend\nclip 7 0 7 10\nend\n", 4),
+        ] {
+            let err = read_clips(text.as_bytes()).unwrap_err();
+            match &err {
+                ClipIoError::Geometry { line, .. } => assert_eq!(*line, at, "{text:?}"),
+                other => panic!("{text:?}: expected a geometry error, got {other:?}"),
+            }
+            assert!(err.to_string().contains(&format!("line {at}:")), "{err}");
+        }
+    }
+
+    #[test]
+    fn end_with_arguments_is_a_parse_error() {
+        let text = "clip 0 0 10 10\nrect 0 0 5 5\nend of record 42\n";
+        let err = read_clips(text.as_bytes()).unwrap_err();
+        assert!(matches!(err, ClipIoError::Parse { line: 3, .. }), "{err:?}");
+        // A trailing comment is not an argument.
+        assert_eq!(
+            read_clips("clip 0 0 10 10\nend # 42\n".as_bytes())
+                .unwrap()
+                .len(),
+            1
+        );
     }
 
     #[test]

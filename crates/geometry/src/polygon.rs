@@ -103,7 +103,10 @@ impl Polygon {
             hi.x = hi.x.max(v.x);
             hi.y = hi.y.max(v.y);
         }
-        Rect::from_corners(lo, hi).expect("validated polygon has positive extent")
+        match Rect::from_corners(lo, hi) {
+            Ok(bounds) => bounds,
+            Err(_) => unreachable!("validated polygon has positive extent"),
+        }
     }
 
     /// Decomposes the interior into disjoint rectangles via a horizontal

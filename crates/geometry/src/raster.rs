@@ -35,7 +35,10 @@ use crate::{Clip, Grid, Rect};
 /// # }
 /// ```
 pub fn rasterize_clip(clip: &Clip, resolution_nm: u32) -> Grid<f32> {
-    try_rasterize_clip(clip, resolution_nm).expect("resolution must be nonzero")
+    match try_rasterize_clip(clip, resolution_nm) {
+        Ok(grid) => grid,
+        Err(_) => panic!("resolution must be nonzero"),
+    }
 }
 
 /// Fallible variant of [`rasterize_clip`].
@@ -62,36 +65,50 @@ pub fn try_rasterize_clip(
         let local = shape.translated(crate::Point::origin() - window.lo());
         paint_rect(&mut grid, &local, res, pixel_area);
     }
-    // Overlapping shapes can push coverage past 1; saturate.
+    // Overlapping shapes can push coverage past 1; saturate. A select
+    // rather than a branch, so the loop vectorises.
     for v in grid.iter_mut() {
-        if *v > 1.0 {
-            *v = 1.0;
-        }
+        *v = if *v > 1.0 { 1.0 } else { *v };
     }
     Ok(grid)
 }
 
 /// Accumulates the exact coverage of `r` (window-local nm coordinates) into
 /// `grid` at `res` nm/pixel.
+///
+/// A rectangle covers every pixel strictly between its first and last
+/// column of a row by the full pixel width, so each row takes three
+/// values: its first column's, its last column's and the interior's, each
+/// the per-pixel `((cover_x · cover_y) as f64 / pixel_area) as f32`. The
+/// interior value is added over the contiguous span.
 fn paint_rect(grid: &mut Grid<f32>, r: &Rect, res: i64, pixel_area: f64) {
     let px0 = (r.lo().x / res).max(0);
     let py0 = (r.lo().y / res).max(0);
     let px1 = div_ceil(r.hi().x, res).min(grid.width() as i64);
     let py1 = div_ceil(r.hi().y, res).min(grid.height() as i64);
+    if px0 >= px1 {
+        return;
+    }
+    let cover_x = |px: i64| overlap(r.lo().x, r.hi().x, px * res, px * res + res);
+    let (first_x, last_x) = (cover_x(px0), cover_x(px1 - 1));
     for py in py0..py1 {
         let cell_y0 = py * res;
         let cover_y = overlap(r.lo().y, r.hi().y, cell_y0, cell_y0 + res);
         if cover_y == 0 {
             continue;
         }
-        let row = grid.row_mut(py as usize);
-        for px in px0..px1 {
-            let cell_x0 = px * res;
-            let cover_x = overlap(r.lo().x, r.hi().x, cell_x0, cell_x0 + res);
-            if cover_x == 0 {
-                continue;
+        let value = |cover_x: i64| ((cover_x * cover_y) as f64 / pixel_area) as f32;
+        match &mut grid.row_mut(py as usize)[px0 as usize..px1 as usize] {
+            [only] => *only += value(first_x),
+            [first, interior @ .., last] => {
+                *first += value(first_x);
+                let full = value(res);
+                for v in interior {
+                    *v += full;
+                }
+                *last += value(last_x);
             }
-            row[px as usize] += ((cover_x * cover_y) as f64 / pixel_area) as f32;
+            [] => {}
         }
     }
 }
@@ -147,6 +164,101 @@ pub fn downsample(image: &Grid<f32>, factor: usize) -> Grid<f32> {
 mod tests {
     use super::*;
     use crate::Point;
+    use proptest::prelude::*;
+
+    /// The per-pixel loop [`paint_rect`] must reproduce bit for bit: each
+    /// covered pixel of each row adds its own coverage fraction.
+    fn paint_rect_per_pixel(grid: &mut Grid<f32>, r: &Rect, res: i64, pixel_area: f64) {
+        let px0 = (r.lo().x / res).max(0);
+        let py0 = (r.lo().y / res).max(0);
+        let px1 = div_ceil(r.hi().x, res).min(grid.width() as i64);
+        let py1 = div_ceil(r.hi().y, res).min(grid.height() as i64);
+        for py in py0..py1 {
+            let cell_y0 = py * res;
+            let cover_y = overlap(r.lo().y, r.hi().y, cell_y0, cell_y0 + res);
+            if cover_y == 0 {
+                continue;
+            }
+            let row = grid.row_mut(py as usize);
+            for px in px0..px1 {
+                let cell_x0 = px * res;
+                let cover_x = overlap(r.lo().x, r.hi().x, cell_x0, cell_x0 + res);
+                if cover_x == 0 {
+                    continue;
+                }
+                row[px as usize] += ((cover_x * cover_y) as f64 / pixel_area) as f32;
+            }
+        }
+    }
+
+    /// [`try_rasterize_clip`] through [`paint_rect_per_pixel`], with the
+    /// branching saturation.
+    fn rasterize_per_pixel(clip: &Clip, res: i64) -> Grid<f32> {
+        let window = clip.window();
+        let (w, h) = (
+            div_ceil(window.width(), res),
+            div_ceil(window.height(), res),
+        );
+        let mut grid = Grid::filled(w as usize, h as usize, 0.0f32);
+        for shape in clip.shapes() {
+            let local = shape.translated(Point::origin() - window.lo());
+            paint_rect_per_pixel(&mut grid, &local, res, (res * res) as f64);
+        }
+        for v in grid.iter_mut() {
+            if *v > 1.0 {
+                *v = 1.0;
+            }
+        }
+        grid
+    }
+
+    fn bits(g: &Grid<f32>) -> Vec<u32> {
+        g.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A rectangle from two corner picks: sub-pixel sizes, spans past
+    /// every side of a window at most 400 nm on a side, and negative
+    /// coordinates.
+    fn arb_rect() -> impl Strategy<Value = Rect> {
+        let coord = || prop_oneof![-500i64..900, -40i64..40, 390i64..410];
+        let size = || prop_oneof![1i64..4, 1i64..60, 1i64..1400];
+        (coord(), coord(), size(), size())
+            .prop_map(|(x, y, dx, dy)| Rect::new(x, y, x + dx, y + dy).expect("positive extent"))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn span_painting_is_the_per_pixel_loop_bitwise(
+            (x0, y0) in (-300i64..300, -300i64..300),
+            (w, h) in (1i64..400, 1i64..400),
+            res in 1u32..31,
+            shapes in proptest::collection::vec(arb_rect(), 0..12),
+        ) {
+            let window = Rect::new(x0, y0, x0 + w, y0 + h).expect("positive extent");
+            // Clipped by the window, as every clip's shapes are.
+            let clip = Clip::with_shapes(window, shapes.iter().copied());
+            let res64 = i64::from(res);
+            prop_assert_eq!(
+                bits(&rasterize_clip(&clip, res)),
+                bits(&rasterize_per_pixel(&clip, res64)),
+                "{:?} at {} nm", clip, res
+            );
+            // Unclipped, window-local: negative and out-of-window spans
+            // reach `paint_rect` itself.
+            let side = (div_ceil(w, res64) as usize, div_ceil(h, res64) as usize);
+            let (mut span, mut pixel) = (
+                Grid::filled(side.0, side.1, 0.0f32),
+                Grid::filled(side.0, side.1, 0.0f32),
+            );
+            for r in &shapes {
+                paint_rect(&mut span, r, res64, (res64 * res64) as f64);
+                paint_rect_per_pixel(&mut pixel, r, res64, (res64 * res64) as f64);
+            }
+            prop_assert_eq!(bits(&span), bits(&pixel), "{:?} at {} nm", shapes, res);
+        }
+    }
 
     fn clip_with(shapes: &[Rect]) -> Clip {
         Clip::with_shapes(Rect::new(0, 0, 100, 100).unwrap(), shapes.iter().copied())

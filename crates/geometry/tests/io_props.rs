@@ -145,15 +145,16 @@ proptest! {
         let text = lines.join("\n");
         match read_clips(text.as_bytes()) {
             Ok(clips) => prop_assert_eq!(roundtrip(&clips), clips),
-            // An unterminated final record is reported at line 0, the
-            // one parse error that names no line of the input.
-            Err(ClipIoError::Parse { reason, .. }) if reason.starts_with("unterminated") => {}
             Err(ClipIoError::Parse { line, reason }) => prop_assert!(
                 (1..=lines.len()).contains(&line),
                 "line {line} of {}: {reason}\n{text}",
                 lines.len()
             ),
-            Err(ClipIoError::Geometry(_)) => {}
+            Err(ClipIoError::Geometry { line, source }) => prop_assert!(
+                (1..=lines.len()).contains(&line),
+                "line {line} of {}: {source}\n{text}",
+                lines.len()
+            ),
             Err(ClipIoError::Io(e)) => prop_assert!(false, "i/o error from a byte slice: {e}"),
         }
     }

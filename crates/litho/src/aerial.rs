@@ -168,12 +168,18 @@ impl Isa {
 /// output cell depends only on its own position, never on `region` or on
 /// `B`.
 ///
+/// Each distinct row is computed once. A horizontal row whose source row
+/// has the bits of the one above over the copied span is a copy of the
+/// row above. An output row is a copy of the row above when it folds the
+/// same taps and each horizontal row of its window is a copy of its
+/// predecessor: it then folds, tap for tap, the same values.
+///
 /// Output cells are computed in blocks of `B` lanes, each kept in
 /// registers across its whole window: enough independent chains per block
 /// to hide `fold`'s latency, few enough to fit the registers of the
 /// instruction set the caller is compiled for.
 #[inline(always)]
-pub(crate) fn separable_filter<T: Copy, const B: usize>(
+pub(crate) fn separable_filter<T: SameBits, const B: usize>(
     image: &Grid<T>,
     region: Region,
     r: usize,
@@ -191,8 +197,20 @@ pub(crate) fn separable_filter<T: Copy, const B: usize>(
     let cols = region.x0.saturating_sub(r)..(region.x0 + lanes + r).min(w);
     let at = cols.start + r - region.x0;
     let mut horizontal = Grid::filled(lanes, rows.len(), init);
+    // `computed[i]`: the last horizontal row at or above row `i` that was
+    // computed rather than copied, so rows `computed[i] + 1..=i` equal
+    // their predecessors.
+    let mut computed = Vec::with_capacity(rows.len());
     for (i, y) in rows.clone().enumerate() {
-        padded[at..at + cols.len()].copy_from_slice(&image.row(y)[cols.clone()]);
+        let src = &image.row(y)[cols.clone()];
+        if i > 0 && T::same_bits(src, &image.row(y - 1)[cols.clone()]) {
+            computed.push(computed[i - 1]);
+            let plane = horizontal.as_mut_slice();
+            plane.copy_within((i - 1) * lanes..i * lanes, i * lanes);
+            continue;
+        }
+        computed.push(i);
+        padded[at..at + cols.len()].copy_from_slice(src);
         let out = horizontal.row_mut(i);
         for x in block_starts::<B>(lanes) {
             let acc = fold_block::<T, B>(init, 0..2 * r + 1, |t| lanes_at(&padded, x + t), &fold);
@@ -201,11 +219,24 @@ pub(crate) fn separable_filter<T: Copy, const B: usize>(
     }
     let plane = horizontal.as_slice();
     let mut out = Grid::filled(lanes, region.height(), init);
+    let mut above = 0..0;
     for y in region.y0..region.y1 {
         // The taps whose source row lies in the image; tap `t` reads plane
         // row `y + t - r - rows.start`.
         let taps = r.saturating_sub(y)..(h + r - y).min(2 * r + 1);
-        let row = out.row_mut(y - region.y0);
+        let (first, last) = (
+            y + taps.start - r - rows.start,
+            y + taps.end - 1 - r - rows.start,
+        );
+        let i = y - region.y0;
+        let same = i > 0 && taps == above && computed[last] < first;
+        above = taps.clone();
+        if same {
+            out.as_mut_slice()
+                .copy_within((i - 1) * lanes..i * lanes, i * lanes);
+            continue;
+        }
+        let row = out.row_mut(i);
         for x in block_starts::<B>(lanes) {
             let src = |t| lanes_at(plane, (y + t - r - rows.start) * lanes + x);
             let acc = fold_block::<T, B>(init, taps.clone(), src, &fold);
@@ -222,6 +253,31 @@ pub(crate) fn separable_filter<T: Copy, const B: usize>(
         .copied()
         .collect();
     Grid::from_vec(region.width(), region.height(), cells)
+}
+
+/// A cell type whose rows [`separable_filter`] compares by their bits.
+pub(crate) trait SameBits: Copy {
+    /// Whether `a` and `b`, of equal length, hold the same bits.
+    fn same_bits(a: &[Self], b: &[Self]) -> bool;
+}
+
+impl SameBits for f32 {
+    #[inline(always)]
+    fn same_bits(a: &[f32], b: &[f32]) -> bool {
+        // An OR of XORs rather than an early exit, which LLVM vectorises.
+        let diff = a
+            .iter()
+            .zip(b)
+            .fold(0, |d, (x, y)| d | (x.to_bits() ^ y.to_bits()));
+        diff == 0
+    }
+}
+
+impl SameBits for bool {
+    #[inline(always)]
+    fn same_bits(a: &[bool], b: &[bool]) -> bool {
+        a == b
+    }
 }
 
 /// Starts of the `B`-lane blocks that cover `0..lanes` (`lanes ≥ B`). The
@@ -448,27 +504,70 @@ pub(crate) mod tests {
         }
     }
 
-    /// A mask mixing ±0.0, 1.0, fractions, negatives and large values
-    /// (small enough that no sum overflows to infinity).
+    /// The next state of a xorshift64 generator.
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// A pixel value from a random `state`: ±0.0, 1.0, fractions,
+    /// negatives and large values (small enough that no sum overflows to
+    /// infinity).
+    fn mixed_value(state: u64) -> f32 {
+        let frac = (state >> 40) as f32 / (1u64 << 24) as f32;
+        match state % 8 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 1.0,
+            3 => frac,
+            4 => -frac,
+            5 => 1e30 * (frac - 0.5),
+            _ => (state % 3) as f32,
+        }
+    }
+
+    /// A mask of [`mixed_value`]s.
     fn mixed_mask(w: usize, h: usize, seed: u64) -> Grid<f32> {
         let mut state = seed | 1;
-        let cells = (0..w * h)
+        let cells = (0..w * h).map(|_| mixed_value(xorshift(&mut state)));
+        Grid::from_vec(w, h, cells.collect())
+    }
+
+    /// A `w × h` image made of runs of a few distinct rows of `value`s,
+    /// the kind of image whose repeated rows the filter computes once. The
+    /// distinct rows are one base row with one to three cells changed, so
+    /// two of them may differ only beside a region. Runs are 1 to `2r + 4`
+    /// rows long; the first starts at the top edge and the last ends at the
+    /// bottom one.
+    pub(crate) fn row_runs<T: Copy>(
+        w: usize,
+        h: usize,
+        r: usize,
+        seed: u64,
+        value: impl Fn(u64) -> T,
+    ) -> Grid<T> {
+        let mut state = seed | 1;
+        let mut next = move || xorshift(&mut state);
+        let base: Vec<T> = (0..w).map(|_| value(next())).collect();
+        let distinct: Vec<Vec<T>> = (0..1 + next() % 4)
             .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                let frac = (state >> 40) as f32 / (1u64 << 24) as f32;
-                match state % 8 {
-                    0 => 0.0,
-                    1 => -0.0,
-                    2 => 1.0,
-                    3 => frac,
-                    4 => -frac,
-                    5 => 1e30 * (frac - 0.5),
-                    _ => (state % 3) as f32,
+                let mut row = base.clone();
+                for _ in 0..1 + next() % 3 {
+                    row[(next() % w as u64) as usize] = value(next());
                 }
+                row
             })
             .collect();
+        let mut cells = Vec::with_capacity(w * h);
+        while cells.len() < w * h {
+            let row = &distinct[(next() % distinct.len() as u64) as usize];
+            let run = 1 + next() % (2 * r as u64 + 4);
+            for _ in 0..run.min(((w * h - cells.len()) / w) as u64) {
+                cells.extend_from_slice(row);
+            }
+        }
         Grid::from_vec(w, h, cells)
     }
 
@@ -485,6 +584,32 @@ pub(crate) mod tests {
             let mask = mixed_mask(w, h, seed);
             // ceil(3σ) = radius at 1 nm per pixel.
             let psf = Kernel1d::gaussian(radius as f64 / 3.0 - 1e-3, 1).unwrap();
+            let region = region_of(w, h, kind, [picks.0, picks.1, picks.2, picks.3]);
+            let full = direct_sum(&mask, &psf);
+            let expected = full.window(region.x0, region.y0, region.width(), region.height());
+            for isa in supported() {
+                prop_assert_eq!(
+                    bits(&aerial_region(isa, &mask, &psf, region)),
+                    bits(&expected),
+                    "{:?}: {}x{}, radius {}, {:?}", isa, w, h, psf.radius(), region
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn repeated_rows_keep_the_direct_sum_bits_on_every_instance(
+            (w, h) in (arb_side(), arb_side()),
+            (kind, picks) in (0u8..4, (0usize..1000, 0usize..1000, 0usize..1000, 0usize..1000)),
+            radius in prop_oneof![1usize..4, 4usize..16],
+            seed in 0u64..u64::MAX,
+        ) {
+            // ceil(3σ) = radius at 1 nm per pixel.
+            let psf = Kernel1d::gaussian(radius as f64 / 3.0 - 1e-3, 1).unwrap();
+            let mask = row_runs(w, h, psf.radius(), seed, mixed_value);
             let region = region_of(w, h, kind, [picks.0, picks.1, picks.2, picks.3]);
             let full = direct_sum(&mask, &psf);
             let expected = full.window(region.x0, region.y0, region.width(), region.height());

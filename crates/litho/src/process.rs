@@ -340,9 +340,25 @@ impl PrintTarget {
     /// Thresholds the mask coverage raster at 0.5 into the target and
     /// erodes/dilates it by `margin_px` over the interior left by a
     /// `guard_px` band; `None` when the band covers the whole mask.
+    ///
+    /// Only the pixels the morphology reads, the interior grown by the
+    /// margin (clamped to the mask), are thresholded; the rest of the
+    /// full-size target stays `false`. The target keeps the mask's size,
+    /// so the filter clamps its windows exactly as on the full frame.
     pub(crate) fn new(mask: &Grid<f32>, margin_px: usize, guard_px: usize) -> Option<Self> {
         let interior = Region::interior(mask, guard_px)?;
-        let target = mask.map(|&v| v >= 0.5);
+        let (w, h) = (mask.width(), mask.height());
+        let grown = |lo: usize, hi: usize, n: usize| {
+            lo.saturating_sub(margin_px)..hi.saturating_add(margin_px).min(n)
+        };
+        let cols = grown(interior.x0, interior.x1, w);
+        let mut target = Grid::filled(w, h, false);
+        for y in grown(interior.y0, interior.y1, h) {
+            let dst = &mut target.row_mut(y)[cols.clone()];
+            for (t, &v) in dst.iter_mut().zip(&mask.row(y)[cols.clone()]) {
+                *t = v >= 0.5;
+            }
+        }
         Some(PrintTarget {
             interior,
             must_print: morph(&target, margin_px, false, interior),
@@ -465,7 +481,7 @@ fn count_lanes<const L: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aerial::tests::{arb_side, region_of, supported};
+    use crate::aerial::tests::{arb_side, region_of, row_runs, supported};
     use proptest::prelude::*;
 
     fn block(side: usize, x0: usize, y0: usize, x1: usize, y1: usize) -> Grid<bool> {
@@ -637,6 +653,25 @@ mod tests {
                 (state >> 61) < density
             });
             let g = Grid::from_vec(w, h, cells.collect());
+            let region = region_of(w, h, kind, [picks.0, picks.1, picks.2, picks.3]);
+            for dilate in [false, true] {
+                prop_assert_eq!(
+                    morph(&g, r, dilate, region),
+                    crop(&brute(&g, r, dilate), region),
+                    "{}x{}, r {}, dilate {}, {:?}", w, h, r, dilate, region
+                );
+            }
+        }
+
+        #[test]
+        fn morphology_of_repeated_rows_is_the_clipped_square_window(
+            (w, h) in (arb_side(), arb_side()),
+            (kind, picks) in (0u8..4, (0usize..1000, 0usize..1000, 0usize..1000, 0usize..1000)),
+            r in 0usize..8,
+            density in 1u64..8,
+            seed in 0u64..u64::MAX,
+        ) {
+            let g = row_runs(w, h, r, seed, |s| (s >> 61) < density);
             let region = region_of(w, h, kind, [picks.0, picks.1, picks.2, picks.3]);
             for dilate in [false, true] {
                 prop_assert_eq!(
